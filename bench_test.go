@@ -64,7 +64,7 @@ func BenchmarkFig1Scheduling(b *testing.B) {
 
 // pingPongSetup places a design and returns an engine plus a cell that can
 // be relocated back and forth between its home and a free location.
-func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.Device) bitstream.Port) (*relocate.Engine, fabric.CellRef, fabric.CellRef) {
+func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.Device) *bitstream.Transport) (*relocate.Engine, fabric.CellRef, fabric.CellRef) {
 	b.Helper()
 	dev := fabric.NewDevice(fabric.XCV50)
 	nl, err := itc99.Get(circuit)
@@ -105,30 +105,28 @@ func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.D
 	return eng, from, spare
 }
 
-func directBenchPort(dev *fabric.Device) bitstream.Port {
-	return bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)
+func directBenchPort(dev *fabric.Device) *bitstream.Transport {
+	return bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, 8)
 }
 
-func jtagBenchPort(dev *fabric.Device) bitstream.Port {
+func jtagBenchPort(dev *fabric.Device) *bitstream.Transport {
 	return jtag.NewPort(bitstream.NewController(dev), jtag.DefaultTCKHz)
 }
 
 // selectMapBenchPort builds a SelectMAP port at the given data-pin width
 // (8/16/32): the per-word clock cost is 32/width.
-func selectMapBenchPort(width int) func(*fabric.Device) bitstream.Port {
-	return func(dev *fabric.Device) bitstream.Port {
-		p := bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)
-		p.WidthBits = width
-		return p
+func selectMapBenchPort(width int) func(*fabric.Device) *bitstream.Transport {
+	return func(dev *fabric.Device) *bitstream.Transport {
+		return bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, width)
 	}
 }
 
 // compressBenchPort wraps a port constructor with delta/MFWR stream encoding
 // switched on.
-func compressBenchPort(mk func(*fabric.Device) bitstream.Port) func(*fabric.Device) bitstream.Port {
-	return func(dev *fabric.Device) bitstream.Port {
+func compressBenchPort(mk func(*fabric.Device) *bitstream.Transport) func(*fabric.Device) *bitstream.Transport {
+	return func(dev *fabric.Device) *bitstream.Transport {
 		p := mk(dev)
-		p.(bitstream.CompressPort).SetCompress(true)
+		p.SetCompress(true)
 		return p
 	}
 }
@@ -403,7 +401,7 @@ func BenchmarkFig7Defrag(b *testing.B) {
 				last = sys
 			}
 			b.StopTimer()
-			reportTraffic(b, last.Traffic(), last.Port().(interface{ Cycles() uint64 }).Cycles())
+			reportTraffic(b, last.Traffic(), last.Port().Cycles())
 		})
 	}
 }
@@ -662,7 +660,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 	// (fraction of relocations that started executing while the previous
 	// operation's bitstream was still shifting out) — the two numbers the
 	// commit pipeline moves: planning now happens inside the shift window.
-	measure := func(circuit string, mkPort func(*fabric.Device) bitstream.Port) (msPerCLB float64, clbs int, hostMsPerCLB, overlap float64, cycles uint64, tr bitstream.Traffic) {
+	measure := func(circuit string, mkPort func(*fabric.Device) *bitstream.Transport) (msPerCLB float64, clbs int, hostMsPerCLB, overlap float64, cycles uint64, tr bitstream.Traffic) {
 		dev := fabric.NewDevice(fabric.XCV200)
 		nl, err := itc99.Get(circuit)
 		if err != nil {
@@ -717,13 +715,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 		if st.CellsRelocated > 0 {
 			overlap = float64(st.OverlappedOps) / float64(st.CellsRelocated)
 		}
-		if cp, ok := port.(interface{ Cycles() uint64 }); ok {
-			cycles = cp.Cycles()
-		}
-		if tp, ok := port.(bitstream.CompressPort); ok {
-			tr = tp.Traffic()
-		}
-		return totalSec * 1e3 / float64(clbs), clbs, hostMsPerCLB, overlap, cycles, tr
+		return totalSec * 1e3 / float64(clbs), clbs, hostMsPerCLB, overlap, port.Cycles(), port.Traffic()
 	}
 	once("e8", func() {
 		fmt.Println("\nHeadline — mean CLB relocation time, gated-clock ITC'99 on XCV200, Boundary-Scan @ 20 MHz:")
@@ -740,7 +732,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 	// benchdiff informationally.
 	for _, lane := range []struct {
 		name string
-		mk   func(*fabric.Device) bitstream.Port
+		mk   func(*fabric.Device) *bitstream.Transport
 	}{
 		{"BoundaryScan", jtagBenchPort},
 		{"BoundaryScan-compressed", compressBenchPort(jtagBenchPort)},
@@ -772,7 +764,7 @@ func BenchmarkAblationConfigPort(b *testing.B) {
 		fmt.Printf("%-16s %-12s\n", "port", "ms/cell")
 		for _, pk := range []struct {
 			name string
-			mk   func(*fabric.Device) bitstream.Port
+			mk   func(*fabric.Device) *bitstream.Transport
 		}{
 			{"Boundary-Scan", jtagBenchPort},
 			{"SelectMAP", directBenchPort},

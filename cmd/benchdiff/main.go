@@ -7,9 +7,10 @@
 //	benchdiff compare -baseline BENCH_baseline.json -current BENCH_ci.json
 //
 // compare exits non-zero when any benchmark present in both documents got
-// slower (ns/op) by more than the -max-regress fraction. Benchmarks missing
-// on either side are reported but never fail the gate, so adding or
-// retiring a benchmark does not need a lockstep baseline update.
+// slower (ns/op) by more than the -max-regress fraction, when a simulated-
+// clock metric (see exactMetrics) moved at all, or when a baseline
+// benchmark is gone from the current run. A new benchmark never fails the
+// gate; retiring one needs a baseline refresh in the same change.
 package main
 
 import (
@@ -220,16 +221,25 @@ func cmdCompare(args []string) {
 	}
 }
 
+// exactMetrics are the custom metrics on the simulated configuration
+// clock: stream words, TCK per frame and simulated ms per relocated CLB are
+// pure functions of a benchmark's operation stream, so any movement at all
+// is a behaviour change and gates.
+var exactMetrics = map[string]bool{"words_shifted": true, "tck_per_frame": true, "ms/CLB": true}
+
 // compareDocs renders the comparison table to w and returns the regressions
 // that gate the merge and, with nsInformational, the wall-clock regressions
 // that are only reported. Memory metrics (B/op, allocs/op) are deterministic
-// and always gate; ns/op gates only when nsInformational is false.
+// and always gate, simulated-clock metrics gate on any change, and a
+// baseline benchmark missing from the current run gates; ns/op gates only
+// when nsInformational is false.
 func compareDocs(baseBy, curBy map[string]Benchmark, maxRegress, maxMemRegress float64, nsInformational bool, w io.Writer) (gating, informational []string) {
 	for _, key := range sortedKeys(baseBy) {
 		b := baseBy[key]
 		c, ok := curBy[key]
 		if !ok {
-			fmt.Fprintf(w, "gone     %-50s (in baseline only)\n", key)
+			fmt.Fprintf(w, "GONE     %-50s (in baseline only)\n", key)
+			gating = append(gating, key+": gone from the current run")
 			continue
 		}
 		ratio := c.NsPerOp / b.NsPerOp
@@ -260,19 +270,29 @@ func compareDocs(baseBy, curBy map[string]Benchmark, maxRegress, maxMemRegress f
 		}
 		fmt.Fprintf(w, "%s %-50s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
 			status, key, b.NsPerOp, c.NsPerOp, (ratio-1)*100)
-		// Custom metrics (ms_per_clb, overlap_ratio, frames/move, ...) ride
-		// along as informational columns: they carry through the comparison
-		// so a PR's table shows how they moved, but they never gate — their
-		// meaning (and whether bigger is better) is benchmark-specific.
+		// The other custom metrics (ms_per_clb, overlap_ratio, frames/move,
+		// ...) ride along as informational columns: they carry through the
+		// comparison so a PR's table shows how they moved, but they never
+		// gate — their meaning (and whether bigger is better) is
+		// benchmark-specific.
 		for _, name := range metricNames(b.Metrics, c.Metrics) {
 			bv, bok := b.Metrics[name]
 			cv, cok := c.Metrics[name]
+			exact := exactMetrics[name]
 			switch {
+			case bok && cok && exact && bv != cv:
+				fmt.Fprintf(w, "CHANGED  %-50s %12g -> %12g %s (exact)\n", key, bv, cv, name)
+				gating = append(gating, fmt.Sprintf("%s: %s %g -> %g (exact metric)", key, name, bv, cv))
+			case bok && cok && exact:
+				fmt.Fprintf(w, "metric   %-50s %12.4g -> %12.4g %s (exact)\n", key, bv, cv, name)
 			case bok && cok:
 				fmt.Fprintf(w, "metric   %-50s %12.4g -> %12.4g %s (informational)\n",
 					key, bv, cv, name)
 			case cok:
 				fmt.Fprintf(w, "metric   %-50s %27.4g %s (new, informational)\n", key, cv, name)
+			case exact:
+				fmt.Fprintf(w, "GONE     %-50s %s (was %g, exact)\n", key, name, bv)
+				gating = append(gating, fmt.Sprintf("%s: %s gone (exact metric)", key, name))
 			default:
 				fmt.Fprintf(w, "metric   %-50s %s gone (was %.4g, informational)\n", key, name, bv)
 			}

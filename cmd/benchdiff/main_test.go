@@ -237,9 +237,10 @@ func TestRecoverMetricsRideThrough(t *testing.T) {
 // TestBandwidthMetricsRideThrough pins the configuration-bandwidth bench
 // lane: the per-transport sub-benchmarks report words_shifted,
 // compression_ratio and tck_per_frame as custom units, and all three must
-// survive parse and render through compare as informational columns — a
-// compression-ratio collapse shows up in the PR table without gating the
-// run.
+// survive parse and render through compare. compression_ratio rides through
+// as an informational column; words_shifted and tck_per_frame are on the
+// simulated clock, so a later run where the encoder regressed to full-frame
+// shipping gates on both.
 func TestBandwidthMetricsRideThrough(t *testing.T) {
 	in := "pkg: repro\n" +
 		"BenchmarkFig7Defrag/BoundaryScan-8 5 143353881 ns/op 1.000 compression_ratio 978.2 tck_per_frame 56924 words_shifted\n" +
@@ -260,8 +261,6 @@ func TestBandwidthMetricsRideThrough(t *testing.T) {
 	if plain := by["repro.BenchmarkFig7Defrag/BoundaryScan"]; plain.Metrics["compression_ratio"] != 1 {
 		t.Fatalf("plain-lane metrics mis-parsed: %v", plain.Metrics)
 	}
-	// The ratio collapses to 1 in a later run (the encoder regressed to
-	// full-frame shipping): the movement renders but must never gate.
 	cur := map[string]Benchmark{}
 	for k, b := range by {
 		c := b
@@ -272,13 +271,57 @@ func TestBandwidthMetricsRideThrough(t *testing.T) {
 	}
 	var out strings.Builder
 	gating, info := compareDocs(by, cur, 0.20, 0.10, false, &out)
-	if len(gating) != 0 || len(info) != 0 {
-		t.Fatalf("bandwidth metric movement must not gate: gating %v, info %v", gating, info)
+	if len(gating) != 2 || len(info) != 0 {
+		t.Fatalf("want words_shifted and tck_per_frame gated, nothing else: gating %v, info %v", gating, info)
+	}
+	for _, g := range gating {
+		if strings.Contains(g, "compression_ratio") {
+			t.Fatalf("compression_ratio must not gate: %v", gating)
+		}
 	}
 	text := out.String()
-	for _, want := range []string{"words_shifted", "compression_ratio", "tck_per_frame", "informational"} {
+	for _, want := range []string{"words_shifted", "compression_ratio", "tck_per_frame", "informational", "exact"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("comparison output missing %q:\n%s", want, text)
+		}
+	}
+	// The unchanged run passes.
+	if gating, _ := compareDocs(by, by, 0.20, 0.10, false, io.Discard); len(gating) != 0 {
+		t.Fatalf("identical runs gated: %v", gating)
+	}
+}
+
+// TestCompareDocsGatesExactMetricsAndGone: simulated ms/CLB gates on any
+// change while the host-side ms_per_clb does not, a simulated-clock metric
+// missing from the run gates, and so does a baseline benchmark missing from
+// the run; a benchmark new in the run does not.
+func TestCompareDocsGatesExactMetricsAndGone(t *testing.T) {
+	with := func(name string, m map[string]float64) Benchmark {
+		b := bench(1000, 1000, 10)
+		b.Name, b.Metrics = name, m
+		return b
+	}
+	base := map[string]Benchmark{
+		"p.Sim":  with("Sim", map[string]float64{"ms/CLB": 6.862, "ms_per_clb": 9.4}),
+		"p.Gone": with("Gone", nil),
+		"p.Drop": with("Drop", map[string]float64{"words_shifted": 100}),
+	}
+	cur := map[string]Benchmark{
+		"p.Sim":  with("Sim", map[string]float64{"ms/CLB": 6.863, "ms_per_clb": 0.9}),
+		"p.Drop": with("Drop", nil),
+		"p.New":  with("New", nil),
+	}
+	gating, info := compareDocs(base, cur, 0.20, 0.10, true, io.Discard)
+	if len(info) != 0 {
+		t.Fatalf("unexpected informational findings: %v", info)
+	}
+	want := []string{"p.Drop: words_shifted gone", "p.Gone: gone", "p.Sim: ms/CLB 6.862 -> 6.863"}
+	if len(gating) != len(want) {
+		t.Fatalf("gating = %v, want %d findings", gating, len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(gating[i], w) {
+			t.Fatalf("gating[%d] = %q, want prefix %q", i, gating[i], w)
 		}
 	}
 }

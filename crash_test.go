@@ -71,12 +71,8 @@ func captureState(s *System) hostState {
 	st.pads = fmt.Sprint(s.pads)
 	al, next := s.area.Export()
 	st.allocs = fmt.Sprintf("%v next=%d", al, next)
-	if cp, ok := s.port.(cyclePort); ok {
-		st.cycles = cp.Cycles()
-	}
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		st.traffic = tp.Traffic()
-	}
+	st.cycles = s.port.Cycles()
+	st.traffic = s.port.Traffic()
 	return st
 }
 

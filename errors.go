@@ -3,7 +3,7 @@ package rlm
 import (
 	"errors"
 
-	"repro/internal/relocate"
+	"repro/internal/bitstream"
 )
 
 // Sentinel errors returned by the run-time manager. Every error that leaves
@@ -39,8 +39,8 @@ var (
 	ErrDegraded = errors.New("rlm: healthy capacity below admission watermark")
 )
 
-// ErrPortStalled re-exports the frame tool's stall-watchdog sentinel: the
+// ErrPortStalled re-exports the transport's stall sentinel: the
 // configuration port failed to harvest an in-flight stream within the
 // WithStallTimeout deadline. It surfaces wrapped in the same places any
 // transport fault does (and feeds the retry ladder when one is armed).
-var ErrPortStalled = relocate.ErrPortStalled
+var ErrPortStalled = bitstream.ErrStalled

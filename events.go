@@ -107,6 +107,9 @@ type Event struct {
 	Frame          fabric.FrameAddr // frame involved (FrameQuarantined, ScrubRepair, health events)
 	Capacity       Capacity         // capacity census (CapacityChanged)
 	Err            error            // failure that triggered the event (Recovered, FaultDetected)
+	// Dropped is the number of events this subscriber missed, because its
+	// buffer was full, just before this one.
+	Dropped int
 }
 
 // Capacity is the logic-space capacity census a CapacityChanged event
@@ -159,39 +162,50 @@ func (e Event) String() string {
 	return e.Kind.String()
 }
 
+// subscriber is one listener's channel and its count of events dropped
+// since its last delivery.
+type subscriber struct {
+	ch      chan Event
+	dropped int
+}
+
 // Subscribe registers a new listener and returns its channel plus a cancel
 // function. Events are delivered best-effort: when a listener's buffer is
 // full the event is dropped for that listener rather than stalling a
 // relocation mid-stream (the configuration port does not wait for
-// observers). A buffer of 0 uses a sensible default.
+// observers), and the next event it does receive counts the loss in
+// Dropped. A buffer of 0 uses a sensible default.
 func (s *System) Subscribe(buffer int) (<-chan Event, func()) {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	ch := make(chan Event, buffer)
+	sub := &subscriber{ch: make(chan Event, buffer)}
 	s.subMu.Lock()
 	id := s.nextSub
 	s.nextSub++
-	s.subs[id] = ch
+	s.subs[id] = sub
 	s.subMu.Unlock()
 	cancel := func() {
 		s.subMu.Lock()
 		if _, ok := s.subs[id]; ok {
 			delete(s.subs, id)
-			close(ch)
+			close(sub.ch)
 		}
 		s.subMu.Unlock()
 	}
-	return ch, cancel
+	return sub.ch, cancel
 }
 
 // publish delivers an event to every subscriber without ever blocking.
 func (s *System) publish(e Event) {
 	s.subMu.Lock()
-	for _, ch := range s.subs {
+	for _, sub := range s.subs {
+		e.Dropped = sub.dropped
 		select {
-		case ch <- e:
+		case sub.ch <- e:
+			sub.dropped = 0
 		default: // listener too slow: drop rather than stall the port
+			sub.dropped++
 		}
 	}
 	s.subMu.Unlock()

@@ -374,3 +374,36 @@ func TestEventStream(t *testing.T) {
 		t.Errorf("event kinds = %v, want %v", kinds, want)
 	}
 }
+
+// TestLaggingSubscriberCountsDrops: a subscriber whose buffer is full misses
+// events rather than stalling the system, and the next event it receives
+// says how many it missed; a keeping-up subscriber sees no drops.
+func TestLaggingSubscriberCountsDrops(t *testing.T) {
+	s := newSys(t)
+	lag, cancelLag := s.Subscribe(1)
+	defer cancelLag()
+	all, cancelAll := s.Subscribe(128)
+	if _, err := s.Load(mkCounter("evt"), fabric.Rect{Row: 2, Col: 2, H: 1, W: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Move("evt", fabric.Rect{Row: 5, Col: 5, H: 1, W: 1}); err != nil {
+		t.Fatal(err)
+	}
+	published := len(all) // DesignLoaded, CLBRelocated, DesignMoved
+	if first := <-lag; first.Kind != DesignLoaded || first.Dropped != 0 {
+		t.Fatalf("first lagging event = %v (dropped %d), want design-loaded with none dropped", first, first.Dropped)
+	}
+	if err := s.Unload("evt"); err != nil {
+		t.Fatal(err)
+	}
+	next := <-lag
+	if next.Kind != DesignUnloaded || next.Dropped != published-1 {
+		t.Fatalf("next lagging event = %v (dropped %d), want design-unloaded after %d dropped", next, next.Dropped, published-1)
+	}
+	cancelAll()
+	for e := range all {
+		if e.Dropped != 0 {
+			t.Fatalf("a keeping-up subscriber saw %d drops before %v", e.Dropped, e)
+		}
+	}
+}

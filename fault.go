@@ -92,8 +92,8 @@ func (s *System) finishLoadLocked(cp *checkpoint) error {
 // frame tool's Retry delegate: cause surfaced at an AwaitStream and addrs is
 // the unharvested frame set. It runs under the operation's lock (every tool
 // call path holds it). On success the operation proceeds as if the fault
-// never happened (the retry traffic is compensated out of the foreground
-// accounting). On exhaustion a final readback-verify condemns the frames
+// never happened (the retry traffic is the transport's retry class, never
+// foreground). On exhaustion a final readback-verify condemns the frames
 // that still fail, parks them in s.pendingBad for the failed operation's
 // post-rollback quarantine sweep, and the returned error wraps
 // ErrRetriesExhausted.
@@ -116,21 +116,13 @@ func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) erro
 		}
 		s.crash("retry")
 		s.engine.Stats.FaultRetries++
-		err = s.compensatePort(&s.engine.Stats.RetrySeconds, func() error {
-			return s.redeliver(updates, attempt >= verifyFrom)
-		})
-		if err == nil {
+		if err = s.redeliver(updates, attempt >= verifyFrom); err == nil {
 			s.publish(Event{Kind: RetrySucceeded, Steps: attempt})
 			return nil
 		}
 	}
 	s.engine.Stats.RetriesExhausted++
-	var bad []fabric.FrameAddr
-	_ = s.compensatePort(&s.engine.Stats.RetrySeconds, func() error {
-		var verr error
-		bad, verr = s.verifyFrames(updates)
-		return verr
-	})
+	bad, _ := s.verifyFrames(updates)
 	s.pendingBad = append(s.pendingBad, bad...)
 	err = fmt.Errorf("%w after %d attempt(s): %v", ErrRetriesExhausted, pol.MaxRetries, err)
 	s.publish(Event{Kind: RetriesExhausted, Steps: pol.MaxRetries, Err: err})
@@ -193,7 +185,7 @@ func (s *System) redeliver(updates []bitstream.FrameUpdate, verify bool) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	if err := s.port.WriteUpdates(updates); err != nil {
+	if err := s.port.Write(bitstream.Retry, updates); err != nil {
 		return err
 	}
 	if !verify {
@@ -208,7 +200,7 @@ func (s *System) redeliver(updates []bitstream.FrameUpdate, verify bool) error {
 func (s *System) verifyFrames(updates []bitstream.FrameUpdate) ([]fabric.FrameAddr, error) {
 	var bad []fabric.FrameAddr
 	for _, u := range updates {
-		got, err := s.port.ReadFrame(u.Addr)
+		got, err := s.port.Read(bitstream.Retry, u.Addr)
 		if err != nil || !frameWordsEqual(got, u.Data) {
 			bad = append(bad, u.Addr)
 		}
@@ -217,37 +209,6 @@ func (s *System) verifyFrames(updates []bitstream.FrameUpdate) ([]fabric.FrameAd
 		return bad, fmt.Errorf("rlm: %d frame(s) failed readback-verify", len(bad))
 	}
 	return nil, nil
-}
-
-// compensatePort runs fn and moves the transport time it consumed off the
-// port's counters into acc: the fault layer's traffic is reported separately
-// (Stats.RetrySeconds / Stats.ScrubSeconds) so the foreground accounting
-// stays bit-identical to a fault-free twin's — the same convention Recover
-// uses for its reconciliation traffic.
-func (s *System) compensatePort(acc *float64, fn func() error) error {
-	e0 := s.port.Elapsed()
-	cp, hasCycles := s.port.(cyclePort)
-	var c0 uint64
-	if hasCycles {
-		c0 = cp.Cycles()
-	}
-	tp, hasTraffic := s.port.(bitstream.CompressPort)
-	var t0 bitstream.Traffic
-	if hasTraffic {
-		t0 = tp.Traffic()
-	}
-	err := fn()
-	*acc += s.port.Elapsed() - e0
-	if hasCycles {
-		cp.RestoreCycles(c0)
-	}
-	if hasTraffic {
-		// Maintenance re-deliveries and repairs are compensated out of the
-		// write-traffic counters too, keeping Traffic bit-identical to a
-		// fault-free twin's.
-		tp.RestoreTraffic(t0)
-	}
-	return err
 }
 
 // quarantineSweepLocked consumes the verified-bad frames a failed operation

@@ -11,20 +11,17 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/faultport"
-	"repro/internal/jtag"
+	"repro/internal/itc99"
 )
 
-// faultSystem builds a system on a fault-injecting port, returning the
-// wrapper for fault-plan control.
-func faultSystem(t *testing.T, seed uint64, extra ...Option) (*System, *faultport.Port) {
+// faultSystem builds a system with a fault plan hooked into its transport,
+// returning the plan for fault control.
+func faultSystem(t *testing.T, seed uint64, extra ...Option) (*System, *faultport.Hook) {
 	t.Helper()
-	var flaky *faultport.Port
+	flaky := faultport.New(seed)
 	opts := append([]Option{
 		WithDevice(fabric.TestDevice),
-		WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
-			flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), seed)
-			return flaky
-		}),
+		withFaultHook(flaky),
 	}, extra...)
 	sys, err := New(opts...)
 	if err != nil {
@@ -48,7 +45,7 @@ func maskFaultStats(st hostState) hostState {
 // frame budget must be absorbed by the retry ladder — every facade operation
 // of the scripted workout still succeeds, and the final configuration image,
 // host book-keeping and cycle accounting are bit-identical to a fault-free
-// twin's (the retry traffic is compensated out). Run with -race.
+// twin's (the retry traffic is its own class). Run with -race.
 func TestChaosRetryBitIdenticalToFaultFree(t *testing.T) {
 	clean, err := New(WithDevice(fabric.TestDevice))
 	if err != nil {
@@ -102,7 +99,7 @@ func TestChaosRetryBitIdenticalToFaultFree(t *testing.T) {
 // condemnColumns arms persistent write failures on every frame of the CLB
 // columns carrying the given array columns, returning the condemned frame
 // count.
-func condemnColumns(t *testing.T, dev *fabric.Device, flaky *faultport.Port, cols ...int) int {
+func condemnColumns(t *testing.T, dev *fabric.Device, flaky *faultport.Hook, cols ...int) int {
 	t.Helper()
 	n := 0
 	for _, c := range cols {
@@ -203,7 +200,7 @@ func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
 // TestScrubRepairsSilentCorruption: a silent SEU — readback diverges from
 // the golden shadow with no transport error — is found and repaired by one
 // scrub pass, the repair is observable (report, Stats, event), and the scrub
-// traffic is compensated out of the foreground cycle accounting.
+// traffic stays out of the foreground cycle accounting.
 func TestScrubRepairsSilentCorruption(t *testing.T) {
 	sys, flaky := faultSystem(t, 23)
 	if _, err := sys.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}); err != nil {
@@ -218,11 +215,11 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 		t.Fatalf("frame %v missing from shadow", addr)
 	}
 	flaky.FlipBit(addr, 2, 7)
-	if got, err := flaky.ReadFrame(addr); err != nil || frameWordsEqual(got, want) {
+	if got, err := sys.Port().Read(bitstream.Scrub, addr); err != nil || frameWordsEqual(got, want) {
 		t.Fatalf("SEU not visible on readback (err %v)", err)
 	}
 
-	cycles0 := flaky.Cycles()
+	cycles0 := sys.Port().Cycles()
 	rep, err := sys.Scrub(0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +234,10 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	if st.ScrubRepairs != 1 || st.ScrubChecked != rep.FramesChecked || st.ScrubSeconds <= 0 {
 		t.Fatalf("scrub stats: %+v", st)
 	}
-	if flaky.Cycles() != cycles0 {
-		t.Fatalf("scrub traffic leaked into foreground accounting: %d -> %d", cycles0, flaky.Cycles())
+	if sys.Port().Cycles() != cycles0 {
+		t.Fatalf("scrub traffic leaked into foreground accounting: %d -> %d", cycles0, sys.Port().Cycles())
 	}
-	if got, err := flaky.ReadFrame(addr); err != nil || !frameWordsEqual(got, want) {
+	if got, err := sys.Port().Read(bitstream.Scrub, addr); err != nil || !frameWordsEqual(got, want) {
 		t.Fatalf("frame not repaired (err %v)", err)
 	}
 	// A second pass over the repaired memory finds nothing.
@@ -308,14 +305,11 @@ func TestBackgroundScrubberRepairsUnderLoad(t *testing.T) {
 func TestCrashDuringRetryRecovers(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "op.journal")
-	var flaky *faultport.Port
+	flaky := faultport.New(3)
 	sys, err := New(WithDevice(fabric.TestDevice),
 		WithJournal(jpath),
 		WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 2}),
-		WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
-			flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), 3)
-			return flaky
-		}))
+		withFaultHook(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,20 +367,15 @@ func TestCrashDuringRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestRecoverWithCustomPortModel: a system journaled over WithPortModel
-// records port kind "custom"; Recover re-passed the factory must rebuild
-// onto the same port model with the accounting restored, and without the
-// factory it falls back to the default Boundary-Scan port instead of
-// failing.
-func TestRecoverWithCustomPortModel(t *testing.T) {
+// TestRecoverWithFaultHook: a fault hook is not a port kind — a system
+// journaled with one records its real transport, so Recover restores the
+// accounting bit-identically with the hook re-passed (and the plan keeps
+// acting on the recovered transport) or without it.
+func TestRecoverWithFaultHook(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "op.journal")
-	var flaky *faultport.Port
-	factory := func(ctrl *bitstream.Controller) bitstream.Port {
-		flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), 5)
-		return flaky
-	}
-	sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath), WithPortModel(factory))
+	flaky := faultport.New(5)
+	sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath), withFaultHook(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,31 +387,29 @@ func TestRecoverWithCustomPortModel(t *testing.T) {
 	}
 	want := captureState(sys)
 
-	rec, rep, err := Recover(deviceFromFrames(t, dumpFrames(sys.dev)), jpath, WithPortModel(factory))
+	rec, rep, err := Recover(deviceFromFrames(t, dumpFrames(sys.dev)), jpath, withFaultHook(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Action != "clean" {
 		t.Fatalf("action = %q, want clean", rep.Action)
 	}
-	if p, ok := rec.Port().(*faultport.Port); !ok || p != flaky {
-		t.Fatal("recover did not build onto the re-passed port factory")
-	}
 	if diffs := diffStates(captureState(rec), want); len(diffs) > 0 {
-		t.Fatalf("recovered state diverges (accounting restored through the custom port): %s", diffs[0])
+		t.Fatalf("recovered state diverges (accounting restored under the hook): %s", diffs[0])
+	}
+	addr := fabric.FrameAddr{Major: rec.Device().MajorOfArrayCol(0), Minor: 1}
+	flaky.FlipBit(addr, 2, 7)
+	if scrub, err := rec.Scrub(0); err != nil || len(scrub.Repairs) != 1 {
+		t.Fatalf("the re-passed hook does not act on the recovered transport: %+v, %v", scrub, err)
 	}
 
-	// Without the factory the port kind falls back; recovery still succeeds
-	// and the non-cycle state still matches.
+	// Without the hook the recovery is the same, accounting included.
 	rec2, _, err := Recover(deviceFromFrames(t, dumpFrames(sys.dev)), jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, isFault := rec2.Port().(*faultport.Port); isFault {
-		t.Fatal("factory-less recovery should fall back to the default port")
-	}
-	if _, ok := rec2.Design("c1"); !ok {
-		t.Fatal("factory-less recovery lost the design")
+	if diffs := diffStates(captureState(rec2), want); len(diffs) > 0 {
+		t.Fatalf("hook-less recovery diverges: %s", diffs[0])
 	}
 }
 
@@ -482,5 +469,54 @@ func TestJournalRotationCompacts(t *testing.T) {
 	}
 	if diffs := diffStates(captureState(rec), want); len(diffs) > 0 {
 		t.Fatalf("recovered state diverges after rotation: %s", diffs[0])
+	}
+}
+
+// TestRollbackDrainsStalledStream is the regression for a rollback racing
+// the background stream. The stall watchdog gives up on a harvest while a
+// long unload burst is still shifting, so the operation fails and rolls
+// back with the superseded stream in flight; the recovery burst must queue
+// behind it instead of feeding the configuration logic under it. Run with
+// -race: the race detector flags any interleaving of the two.
+func TestRollbackDrainsStalledStream(t *testing.T) {
+	flaky := faultport.New(19)
+	sys, err := New(WithDevice(fabric.XCV50), withFaultHook(flaky), WithStallTimeout(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := itc99.Generate(itc99.GenConfig{
+		Name: "wide", Inputs: 4, Outputs: 4, FFs: 60, LUTs: 120,
+		Seed: 5, Style: itc99.FreeRunning,
+	})
+	if _, err := sys.Load(nl, fabric.Rect{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Engine().Tool.AwaitStream(); err != nil {
+		t.Fatal(err)
+	}
+	before := dumpFrames(sys.Device())
+	flaky.SetStall(time.Hour) // every harvest gives up after the watchdog's 1 ms
+	err = sys.Unload("wide")
+	if !errors.Is(err, ErrPortStalled) {
+		t.Fatalf("unload over a stalled harvest: %v, want ErrPortStalled", err)
+	}
+	if _, ok := sys.Design("wide"); !ok {
+		t.Fatal("failed unload not rolled back")
+	}
+	flaky.SetStall(0)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := dumpFrames(sys.Device())
+	for addr, want := range before {
+		if !frameWordsEqual(after[addr], want) {
+			t.Fatalf("frame %v not restored by the rollback", addr)
+		}
+	}
+	// The burst itself outlasts the 1 ms watchdog; without it the system
+	// serves the same operation.
+	sys.Engine().Tool.StallTimeout = 0
+	if err := sys.Unload("wide"); err != nil {
+		t.Fatalf("unload after the stall cleared: %v", err)
 	}
 }

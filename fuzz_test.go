@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultport"
 	"repro/internal/itc99"
 	"repro/internal/journal"
-	"repro/internal/jtag"
 	"repro/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 
 		dir := t.TempDir()
 		jpath := filepath.Join(dir, "op.journal")
-		var flaky *faultport.Port
+		flaky := faultport.New(uint64(flk))
 		sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath),
 			// The retry ladder runs inside the journal barrier, so crashes in
 			// the "retry" stage are part of the capture set.
@@ -113,10 +112,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 			WithHealthPolicy(HealthPolicy{Alpha: 0.5, SuspectAbove: 0.25,
 				CondemnRepairs: 2, ProbesToRelease: 1, ProbationChecks: 2}),
 			WithStallTimeout(time.Millisecond),
-			WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
-				flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), uint64(flk))
-				return flaky
-			}))
+			withFaultHook(flaky))
 		if err != nil {
 			t.Fatalf("new system: %v", err)
 		}

@@ -248,7 +248,7 @@ func TestShadowRecovery(t *testing.T) {
 	// ...and the shadow restores it.
 	dev2 := fabric.NewDevice(fabric.TestDevice)
 	ctl2 := NewController(dev2)
-	if err := ctl2.Feed(shadow.RecoveryBitstream()...); err != nil {
+	if err := ctl2.Feed(Partial(dev2, shadow.Updates())...); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev2.ReadCell(ref); got.LUT != 0xABCD {
@@ -270,32 +270,6 @@ func TestShadowNote(t *testing.T) {
 	got, ok := shadow.Frame(addr)
 	if !ok || got[0] != 99 {
 		t.Errorf("shadow frame = %v, %v", got, ok)
-	}
-}
-
-func TestParallelPort(t *testing.T) {
-	dev, ctl := newDevCtl()
-	port := NewParallelPort(ctl, 50e6)
-	fw := dev.FrameWords()
-	data := make([]uint32, fw)
-	data[2] = 7
-	err := port.WriteUpdates([]FrameUpdate{{Addr: fabric.FrameAddr{Major: 4, Minor: 2}, Data: data}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := dev.ReadFrame(4, 2)
-	if got[2] != 7 {
-		t.Error("port write did not land")
-	}
-	if port.Elapsed() <= 0 {
-		t.Error("port consumed no time")
-	}
-	rb, err := port.ReadFrame(fabric.FrameAddr{Major: 4, Minor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb[2] != 7 {
-		t.Error("port readback mismatch")
 	}
 }
 

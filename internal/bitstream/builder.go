@@ -302,17 +302,15 @@ func (s *Shadow) Frame(addr fabric.FrameAddr) ([]uint32, bool) {
 	return f, ok
 }
 
-// RecoveryBitstream builds a full bitstream restoring the shadowed state.
-func (s *Shadow) RecoveryBitstream() []uint32 {
-	b := NewBuilder(s.frameWords)
-	b.Sync().ResetCRC().FrameLength()
+// Updates returns every shadowed frame as an update, column by column — the
+// full recovery stream's content.
+func (s *Shadow) Updates() []FrameUpdate {
+	var updates []FrameUpdate
 	for _, col := range s.columns {
-		frames := make([][]uint32, col.Frames)
 		for m := 0; m < col.Frames; m++ {
-			frames[m] = s.data[fabric.FrameAddr{Major: col.Major, Minor: m}]
+			addr := fabric.FrameAddr{Major: col.Major, Minor: m}
+			updates = append(updates, FrameUpdate{Addr: addr, Data: s.data[addr]})
 		}
-		b.WriteFrames(FAR{Major: col.Major}, frames)
 	}
-	b.Start().Desync()
-	return b.Words()
+	return updates
 }

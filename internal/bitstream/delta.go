@@ -227,19 +227,19 @@ func frameKey(words []uint32) string {
 	return string(buf)
 }
 
-// Traffic accumulates a port's configuration-write payload accounting: how
-// many words actually shipped versus what the uncompressed streams would
+// Traffic accumulates a transport's configuration-write payload accounting:
+// how many words actually shipped versus what the uncompressed streams would
 // have taken. Readback traffic is excluded — the ratio measures write-path
 // compression only.
 type Traffic struct {
 	// WordsShifted counts the stream words actually delivered.
-	WordsShifted uint64
+	WordsShifted uint64 `json:"words_shifted,omitempty"`
 	// FullWords counts the words the same deliveries would have taken
 	// uncompressed (equal to WordsShifted when compression is off).
-	FullWords uint64
+	FullWords uint64 `json:"full_words,omitempty"`
 	// FramesDelivered counts the frame updates handed to the port's write
 	// paths (skipped identical rewrites included: the caller asked for them).
-	FramesDelivered uint64
+	FramesDelivered uint64 `json:"frames_delivered,omitempty"`
 }
 
 // CompressionRatio returns FullWords/WordsShifted (1 when nothing shipped,
@@ -252,25 +252,10 @@ func (t Traffic) CompressionRatio() float64 {
 	return float64(t.FullWords) / float64(t.WordsShifted)
 }
 
-// CompressPort is the optional capability of ports that can encode their
-// write streams compressed and account the traffic either way. Both stock
-// ports (jtag.Port, ParallelPort) implement it; wrappers forward it.
-type CompressPort interface {
-	// SetCompress switches delta/MFWR stream encoding on or off.
-	SetCompress(on bool)
-	// Compressed reports whether compressed encoding is on.
-	Compressed() bool
-	// Traffic returns the cumulative write-traffic counters.
-	Traffic() Traffic
-	// RestoreTraffic overwrites the counters (journal recovery and the
-	// facade's maintenance-traffic compensation).
-	RestoreTraffic(Traffic)
-}
-
 // EncodeStream builds the write stream for updates — compressed or not —
 // and accounts it into tr. A nil return (only possible compressed, when
-// every frame was an identical rewrite) means nothing needs shipping. Both
-// stock ports route their write paths through it.
+// every frame was an identical rewrite) means nothing needs shipping. Every
+// Transport write path routes through it.
 func EncodeStream(dev *fabric.Device, compress bool, updates []FrameUpdate, tr *Traffic) []uint32 {
 	tr.FramesDelivered += uint64(len(updates))
 	if !compress {

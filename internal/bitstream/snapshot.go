@@ -80,10 +80,10 @@ func (sn *Snapshot) Preimage(addr fabric.FrameAddr) ([]uint32, bool) {
 	return f, ok
 }
 
-// RecoveryWords builds a partial bitstream restoring every dirty frame to
-// its pre-image — the frame-granular counterpart of Shadow.RecoveryBitstream.
-// It returns nil when nothing changed since Begin.
-func (sn *Snapshot) RecoveryWords() []uint32 {
+// Recovery returns the updates restoring every dirty frame to its
+// pre-image, in frame-address order — the frame-granular counterpart of
+// Shadow.Updates. It returns nil when nothing changed since Begin.
+func (sn *Snapshot) Recovery() []FrameUpdate {
 	addrs := sn.Frames()
 	if len(addrs) == 0 {
 		return nil
@@ -92,13 +92,7 @@ func (sn *Snapshot) RecoveryWords() []uint32 {
 	for i, addr := range addrs {
 		updates[i] = FrameUpdate{Addr: addr, Data: sn.saved[addr]}
 	}
-	fw := sn.shadow.frameWords
-	b := NewBuilder(fw)
-	b.Grow(partialStreamWords(fw, updates))
-	b.Sync().ResetCRC().FrameLength()
-	appendUpdates(b, updates)
-	b.Desync()
-	return b.Words()
+	return updates
 }
 
 // Rollback restores the shadow to the epoch state by writing every saved

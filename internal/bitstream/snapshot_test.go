@@ -148,11 +148,11 @@ func TestSnapshotRecoveryWordsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	words := sn.RecoveryWords()
-	if len(words) == 0 {
+	updates := sn.Recovery()
+	if len(updates) == 0 {
 		t.Fatal("no recovery stream for a dirty snapshot")
 	}
-	if err := ctrl.Feed(words...); err != nil {
+	if err := ctrl.Feed(Partial(dev, updates)...); err != nil {
 		t.Fatalf("recovery stream rejected: %v", err)
 	}
 	sn.Rollback()
@@ -171,7 +171,7 @@ func TestSnapshotRecoveryWordsRoundTrip(t *testing.T) {
 			t.Fatalf("frame %v still holds mutated data", addr)
 		}
 	}
-	if sn.RecoveryWords() != nil {
+	if sn.Recovery() != nil {
 		t.Fatal("clean snapshot produced a recovery stream")
 	}
 }

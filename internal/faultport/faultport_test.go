@@ -9,11 +9,14 @@ import (
 	"repro/internal/jtag"
 )
 
-func newPort(t *testing.T, seed uint64) (*Port, *jtag.Port, *fabric.Device) {
+// newPort builds a Boundary-Scan transport with a fresh fault plan hooked in.
+func newPort(t *testing.T, seed uint64) (*Hook, *bitstream.Transport, *fabric.Device) {
 	t.Helper()
 	dev := fabric.NewDevice(fabric.TestDevice)
-	inner := jtag.NewPort(bitstream.NewController(dev), jtag.DefaultTCKHz)
-	return New(inner, seed), inner, dev
+	p := jtag.NewPort(bitstream.NewController(dev), jtag.DefaultTCKHz)
+	h := New(seed)
+	p.SetHook(h)
+	return h, p, dev
 }
 
 func frameUpdate(dev *fabric.Device, major, minor int, fill uint32) bitstream.FrameUpdate {
@@ -30,31 +33,31 @@ func frameUpdate(dev *fabric.Device, major, minor int, fill uint32) bitstream.Fr
 
 // TestTripAfterBudgetAcrossBursts: the transient budget counts frames across
 // deliveries, the trip fires once on the burst that crosses it, stays sticky
-// until the next AwaitStream, and the fault heals itself.
+// until the next await, and the fault heals itself.
 func TestTripAfterBudgetAcrossBursts(t *testing.T) {
-	p, _, dev := newPort(t, 1)
-	p.TripAfter(3)
+	h, p, dev := newPort(t, 1)
+	h.TripAfter(3)
 
 	// Two frames: under budget, enqueues cleanly.
-	p.StreamUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 1), frameUpdate(dev, 0, 1, 1)})
+	p.Stream([]bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 1), frameUpdate(dev, 0, 1, 1)})
 	// Two more: crosses the budget of 3 — the error arms, sticky.
-	p.StreamUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 0, 2, 1), frameUpdate(dev, 0, 3, 1)})
-	err := p.AwaitStream()
+	p.Stream([]bitstream.FrameUpdate{frameUpdate(dev, 0, 2, 1), frameUpdate(dev, 0, 3, 1)})
+	err := p.Await()
 	if err == nil || !strings.Contains(err.Error(), "transient") {
 		t.Fatalf("await after trip: %v, want injected transient failure", err)
 	}
-	if p.Faults() != 1 {
-		t.Fatalf("faults = %d, want 1", p.Faults())
+	if h.Faults() != 1 {
+		t.Fatalf("faults = %d, want 1", h.Faults())
 	}
 	// The await consumed the sticky error, and the trip self-disarmed: the
 	// same traffic now succeeds.
-	p.StreamUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 0, 4, 1)})
-	if err := p.AwaitStream(); err != nil {
+	p.Stream([]bitstream.FrameUpdate{frameUpdate(dev, 0, 4, 1)})
+	if err := p.Await(); err != nil {
 		t.Fatalf("await after self-heal: %v", err)
 	}
-	// Even the "failed" burst was enqueued in full on the inner transport
-	// (write-through: the fault poisons the error signal, never the data),
-	// so all three bursts completed at the protocol level.
+	// Even the "failed" burst was enqueued in full (write-through: the
+	// fault poisons the error signal, never the data), so all three bursts
+	// completed at the protocol level.
 	if n := p.CompletedBursts(); n != 3 {
 		t.Fatalf("completed bursts = %d, want 3", n)
 	}
@@ -62,27 +65,27 @@ func TestTripAfterBudgetAcrossBursts(t *testing.T) {
 
 // TestDisarmCancelsTrip: a disarmed trip never fires.
 func TestDisarmCancelsTrip(t *testing.T) {
-	p, _, dev := newPort(t, 1)
-	p.TripAfter(0)
-	p.Disarm()
-	p.StreamUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 2)})
-	if err := p.AwaitStream(); err != nil {
+	h, p, dev := newPort(t, 1)
+	h.TripAfter(0)
+	h.Disarm()
+	p.Stream([]bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 2)})
+	if err := p.Await(); err != nil {
 		t.Fatalf("await after disarm: %v", err)
 	}
-	if p.Faults() != 0 {
-		t.Fatalf("faults = %d, want 0", p.Faults())
+	if h.Faults() != 0 {
+		t.Fatalf("faults = %d, want 0", h.Faults())
 	}
 }
 
-// TestPersistentFailure: writes touching a condemned frame error (and the
-// synchronous path delivers nothing), readback is deterministically
-// corrupted by the seed, and HealFrames lifts it all.
+// TestPersistentFailure: writes touching a condemned frame error (and a
+// writing burst applies nothing), readback is deterministically corrupted by
+// the seed, and HealFrames lifts it all.
 func TestPersistentFailure(t *testing.T) {
-	p, _, dev := newPort(t, 42)
+	h, p, dev := newPort(t, 42)
 	bad := fabric.FrameAddr{Major: 1, Minor: 0}
-	p.FailFrames(bad)
+	h.FailFrames(bad)
 
-	if err := p.WriteUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 1, 0, 3)}); err == nil {
+	if err := p.Write(bitstream.Foreground, []bitstream.FrameUpdate{frameUpdate(dev, 1, 0, 3)}); err == nil {
 		t.Fatal("write to condemned frame succeeded")
 	}
 	// Nothing was delivered: the device still holds the original content.
@@ -97,13 +100,13 @@ func TestPersistentFailure(t *testing.T) {
 	}
 
 	// Readback corruption is deterministic in the seed.
-	c1, err := p.ReadFrame(bad)
+	c1, err := p.Read(bitstream.Foreground, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, _ := newPort(t, 42)
-	p2.FailFrames(bad)
-	c2, err := p2.ReadFrame(bad)
+	h2, p2, _ := newPort(t, 42)
+	h2.FailFrames(bad)
+	c2, err := p2.Read(bitstream.Foreground, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +126,9 @@ func TestPersistentFailure(t *testing.T) {
 	if !differsFromDevice {
 		t.Fatal("condemned readback not corrupted")
 	}
-	p3, _, _ := newPort(t, 43)
-	p3.FailFrames(bad)
-	c3, err := p3.ReadFrame(bad)
+	h3, p3, _ := newPort(t, 43)
+	h3.FailFrames(bad)
+	c3, err := p3.Read(bitstream.Foreground, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +142,11 @@ func TestPersistentFailure(t *testing.T) {
 		t.Fatal("different seeds produced identical corruption")
 	}
 
-	p.HealFrames(bad)
-	if err := p.WriteUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 1, 0, 3)}); err != nil {
+	h.HealFrames(bad)
+	if err := p.Write(bitstream.Foreground, []bitstream.FrameUpdate{frameUpdate(dev, 1, 0, 3)}); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
-	got, err := p.ReadFrame(bad)
+	got, err := p.Read(bitstream.Foreground, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +160,16 @@ func TestPersistentFailure(t *testing.T) {
 // TestFlipBit: an SEU shows only on readback, a write covering the frame
 // clears it, and flipping the same bit twice cancels out.
 func TestFlipBit(t *testing.T) {
-	p, _, dev := newPort(t, 7)
+	h, p, dev := newPort(t, 7)
 	addr := fabric.FrameAddr{Major: 2, Minor: 1}
-	clean, err := p.ReadFrame(addr)
+	clean, err := p.Read(bitstream.Foreground, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean = append([]uint32(nil), clean...)
 
-	p.FlipBit(addr, 1, 5)
-	got, err := p.ReadFrame(addr)
+	h.FlipBit(addr, 1, 5)
+	got, err := p.Read(bitstream.Foreground, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +192,10 @@ func TestFlipBit(t *testing.T) {
 	}
 
 	// A rewrite of the frame refreshes the memory: the flip clears.
-	if err := p.WriteUpdates([]bitstream.FrameUpdate{{Addr: addr, Data: clean}}); err != nil {
+	if err := p.Write(bitstream.Foreground, []bitstream.FrameUpdate{{Addr: addr, Data: clean}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = p.ReadFrame(addr)
+	got, err = p.Read(bitstream.Foreground, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +204,9 @@ func TestFlipBit(t *testing.T) {
 	}
 
 	// Double flip cancels.
-	p.FlipBit(addr, 2, 9)
-	p.FlipBit(addr, 2, 9)
-	got, err = p.ReadFrame(addr)
+	h.FlipBit(addr, 2, 9)
+	h.FlipBit(addr, 2, 9)
+	got, err = p.Read(bitstream.Foreground, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,34 +215,30 @@ func TestFlipBit(t *testing.T) {
 	}
 }
 
-// TestAccountingPassthrough: the wrapper is accounting-transparent — cycles,
-// elapsed time and the port name all come from the inner transport, and a
-// healthy wrapped run matches an unwrapped twin bit for bit.
+// TestAccountingPassthrough: the hook is accounting-transparent — a healthy
+// hooked run matches an unhooked twin bit for bit in cycles, elapsed time
+// and traffic, and the port name is the transport's.
 func TestAccountingPassthrough(t *testing.T) {
-	p, inner, dev := newPort(t, 9)
+	_, p, dev := newPort(t, 9)
 	twinDev := fabric.NewDevice(fabric.TestDevice)
 	twin := jtag.NewPort(bitstream.NewController(twinDev), jtag.DefaultTCKHz)
 
 	burst := []bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 5), frameUpdate(dev, 0, 1, 6)}
-	p.StreamUpdates(burst)
-	if err := p.AwaitStream(); err != nil {
+	p.Stream(burst)
+	if err := p.Await(); err != nil {
 		t.Fatal(err)
 	}
-	twin.StreamUpdates(burst)
-	if err := twin.AwaitStream(); err != nil {
+	twin.Stream(burst)
+	if err := twin.Await(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Cycles() != twin.Cycles() || p.Cycles() != inner.Cycles() {
-		t.Fatalf("cycles: wrapped %d, inner %d, twin %d", p.Cycles(), inner.Cycles(), twin.Cycles())
+	if p.Counters() != twin.Counters() {
+		t.Fatalf("counters: hooked %+v, twin %+v", p.Counters(), twin.Counters())
 	}
 	if p.Elapsed() != twin.Elapsed() {
-		t.Fatalf("elapsed: wrapped %v, twin %v", p.Elapsed(), twin.Elapsed())
+		t.Fatalf("elapsed: hooked %v, twin %v", p.Elapsed(), twin.Elapsed())
 	}
 	if p.Name() != twin.Name() {
-		t.Fatalf("name: wrapped %q, twin %q", p.Name(), twin.Name())
-	}
-	p.RestoreCycles(123)
-	if inner.Cycles() != 123 {
-		t.Fatalf("RestoreCycles did not reach the inner port: %d", inner.Cycles())
+		t.Fatalf("name: hooked %q, twin %q", p.Name(), twin.Name())
 	}
 }

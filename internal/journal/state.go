@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/netlist"
 	"repro/internal/relocate"
@@ -16,7 +17,7 @@ type Init struct {
 	Preset     string  `json:"preset"`
 	Rows       int     `json:"rows,omitempty"` // geometry cross-check
 	Cols       int     `json:"cols,omitempty"`
-	Port       string  `json:"port"` // "jtag", "selectmap", "custom"
+	Port       string  `json:"port"` // "jtag" or "selectmap" ("custom" in older journals)
 	ClockHz    float64 `json:"clock_hz,omitempty"`
 	AppClockHz float64 `json:"app_clock_hz,omitempty"`
 	Serial     bool    `json:"serial,omitempty"`
@@ -109,6 +110,11 @@ type State struct {
 	WordsShifted    uint64 `json:"words_shifted,omitempty"`
 	FullWords       uint64 `json:"full_words,omitempty"`
 	FramesDelivered uint64 `json:"frames_delivered,omitempty"`
+	// Maintenance holds the transport's maintenance traffic classes
+	// (retry, scrub, probe, recovery — keyed by class name) at the commit
+	// boundary, so their accounting survives a crash like the foreground's.
+	// Absent in older journals, which decode to zero counters.
+	Maintenance map[string]bitstream.ClassCounters `json:"maintenance,omitempty"`
 	// Quarantined lists the configuration frames masked out after persistent
 	// write failures; recovery re-applies the mask (frame filter plus area
 	// quarantine) before anything is delivered. Absent in pre-quarantine

@@ -15,7 +15,7 @@ func BenchmarkFrameWriteOverBoundaryScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data[0] = uint32(i)
-		if err := p.WriteUpdates([]bitstream.FrameUpdate{{Addr: addr, Data: data}}); err != nil {
+		if err := p.Write(bitstream.Foreground, []bitstream.FrameUpdate{{Addr: addr, Data: data}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkReadbackOverBoundaryScan(b *testing.B) {
 	addr := fabric.FrameAddr{Major: 3, Minor: 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReadFrame(addr); err != nil {
+		if _, err := p.Read(bitstream.Foreground, addr); err != nil {
 			b.Fatal(err)
 		}
 	}

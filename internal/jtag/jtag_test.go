@@ -53,34 +53,34 @@ func TestFiveTMSHighAlwaysResets(t *testing.T) {
 	}
 }
 
-func newPort(t *testing.T) (*fabric.Device, *Port) {
+func newLink(t *testing.T) *Link {
 	t.Helper()
-	dev := fabric.NewDevice(fabric.TestDevice)
-	ctrl := bitstream.NewController(dev)
-	return dev, NewPort(ctrl, DefaultTCKHz)
+	l := NewLink(bitstream.NewController(fabric.NewDevice(fabric.TestDevice)))
+	l.Reset()
+	return l
 }
 
 func TestLoadIRSetsInstruction(t *testing.T) {
-	_, p := newPort(t)
-	p.LoadIR(InstrCfgIn)
-	if p.Chain.Instr() != InstrCfgIn {
-		t.Errorf("instr = %#x, want CFG_IN", p.Chain.Instr())
+	l := newLink(t)
+	loadIR(l.Chain.Step, InstrCfgIn)
+	if l.Chain.Instr() != InstrCfgIn {
+		t.Errorf("instr = %#x, want CFG_IN", l.Chain.Instr())
 	}
-	if p.Chain.State() != RunTestIdle {
-		t.Errorf("state after LoadIR = %v", p.Chain.State())
+	if l.Chain.State() != RunTestIdle {
+		t.Errorf("state after LoadIR = %v", l.Chain.State())
 	}
-	p.LoadIR(InstrCfgOut)
-	if p.Chain.Instr() != InstrCfgOut {
-		t.Errorf("instr = %#x, want CFG_OUT", p.Chain.Instr())
+	loadIR(l.Chain.Step, InstrCfgOut)
+	if l.Chain.Instr() != InstrCfgOut {
+		t.Errorf("instr = %#x, want CFG_OUT", l.Chain.Instr())
 	}
 }
 
 func TestIDCodeReadback(t *testing.T) {
-	_, p := newPort(t)
-	p.LoadIR(InstrIDCode)
-	// IDCODE shifts LSB-first out of a 32-bit register; ShiftDROut
+	l := newLink(t)
+	loadIR(l.Chain.Step, InstrIDCode)
+	// IDCODE shifts LSB-first out of a 32-bit register; shiftDROut
 	// assembles MSB-first, so the word comes back bit-reversed.
-	out := p.ShiftDROut(1)
+	out := shiftDROut(l.Chain.Step, 1)
 	var rev uint32
 	for b := 0; b < 32; b++ {
 		if out[0]>>b&1 == 1 {
@@ -92,67 +92,11 @@ func TestIDCodeReadback(t *testing.T) {
 	}
 }
 
-func TestConfigWriteThroughBoundaryScan(t *testing.T) {
-	dev, p := newPort(t)
-	fw := dev.FrameWords()
-	data := make([]uint32, fw)
-	data[5] = 0xCAFEF00D
-	addr := fabric.FrameAddr{Major: dev.MajorOfArrayCol(4), Minor: 11}
-	if err := p.WriteUpdates([]bitstream.FrameUpdate{{Addr: addr, Data: data}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dev.ReadFrame(addr.Major, addr.Minor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[5] != 0xCAFEF00D {
-		t.Errorf("frame word = %#x", got[5])
-	}
-}
-
-func TestReadbackThroughBoundaryScan(t *testing.T) {
-	dev, p := newPort(t)
-	c := fabric.Coord{Row: 3, Col: 2}
-	dev.WriteCell(fabric.CellRef{Coord: c, Cell: 1}, fabric.CellConfig{LUT: 0x5A5A, FF: true})
-	addr := fabric.FrameAddr{Major: dev.MajorOfArrayCol(2), Minor: 0}
-	got, err := p.ReadFrame(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := dev.ReadFrame(addr.Major, addr.Minor)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("readback word %d = %#x, want %#x", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCycleAccounting(t *testing.T) {
-	dev, p := newPort(t)
-	start := p.Cycles()
-	fw := dev.FrameWords()
-	data := make([]uint32, fw)
-	addr := fabric.FrameAddr{Major: 1, Minor: 0}
-	if err := p.WriteUpdates([]bitstream.FrameUpdate{{Addr: addr, Data: data}}); err != nil {
-		t.Fatal(err)
-	}
-	used := p.Cycles() - start
-	// The partial stream is ~2 frames of data plus packet overhead; every
-	// payload bit costs exactly one TCK.
-	words := bitstream.Partial(dev, []bitstream.FrameUpdate{{Addr: addr, Data: data}})
-	minCycles := uint64(32 * len(words))
-	if used < minCycles || used > minCycles+64 {
-		t.Errorf("cycles = %d, want within [%d, %d]", used, minCycles, minCycles+64)
-	}
-	if p.Elapsed() != float64(p.Cycles())/DefaultTCKHz {
-		t.Error("Elapsed inconsistent with cycle count")
-	}
-}
-
 func TestWriteAtTwentyMHzTakesMilliseconds(t *testing.T) {
 	// Sanity-anchor for the paper's headline: shifting one full CLB column
 	// through Boundary-Scan at 20 MHz costs on the order of milliseconds.
-	dev, p := newPort(t)
+	dev := fabric.NewDevice(fabric.TestDevice)
+	p := NewPort(bitstream.NewController(dev), DefaultTCKHz)
 	fw := dev.FrameWords()
 	var ups []bitstream.FrameUpdate
 	major := dev.MajorOfArrayCol(0)
@@ -162,7 +106,7 @@ func TestWriteAtTwentyMHzTakesMilliseconds(t *testing.T) {
 			Data: make([]uint32, fw),
 		})
 	}
-	if err := p.WriteUpdates(ups); err != nil {
+	if err := p.Write(bitstream.Foreground, ups); err != nil {
 		t.Fatal(err)
 	}
 	ms := p.Elapsed() * 1e3
@@ -172,17 +116,17 @@ func TestWriteAtTwentyMHzTakesMilliseconds(t *testing.T) {
 }
 
 func TestChainBypass(t *testing.T) {
-	_, p := newPort(t)
-	p.LoadIR(InstrBypass)
+	l := newLink(t)
+	loadIR(l.Chain.Step, InstrBypass)
 	// Bypass register delays the stream by one bit: shift 8 bits of
 	// pattern, observe it one cycle later.
-	p.step(true, false)
-	p.step(false, false)
-	p.step(false, false) // now in Shift-DR
+	l.Chain.Step(true, false)
+	l.Chain.Step(false, false)
+	l.Chain.Step(false, false) // now in Shift-DR
 	pattern := []bool{true, false, true, true, false, false, true, false}
 	var got []bool
 	for i, b := range pattern {
-		got = append(got, p.step(i == len(pattern)-1, b))
+		got = append(got, l.Chain.Step(i == len(pattern)-1, b))
 	}
 	for i := 1; i < len(pattern); i++ {
 		if got[i] != pattern[i-1] {
@@ -217,7 +161,7 @@ func TestBatchedColumnWriteType2Stream(t *testing.T) {
 		}
 		updates[m] = bitstream.FrameUpdate{Addr: fabric.FrameAddr{Major: 2, Minor: m}, Data: data}
 	}
-	if err := p.WriteUpdates(updates); err != nil {
+	if err := p.Write(bitstream.Foreground, updates); err != nil {
 		t.Fatalf("batched column write: %v", err)
 	}
 	for m := 0; m < col.Frames; m++ {
@@ -232,7 +176,7 @@ func TestBatchedColumnWriteType2Stream(t *testing.T) {
 		}
 	}
 	// Readback through the port survives the big session too.
-	back, err := p.ReadFrame(fabric.FrameAddr{Major: 2, Minor: col.Frames - 1})
+	back, err := p.Read(bitstream.Foreground, fabric.FrameAddr{Major: 2, Minor: col.Frames - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,18 +186,18 @@ func TestBatchedColumnWriteType2Stream(t *testing.T) {
 }
 
 func TestUnalignedCfgInReportsError(t *testing.T) {
-	_, p := newPort(t)
-	p.LoadIR(InstrCfgIn)
+	l := newLink(t)
+	loadIR(l.Chain.Step, InstrCfgIn)
 	// Shift 33 bits: not word aligned -> chain error on Update-DR.
-	p.step(true, false)
-	p.step(false, false)
-	p.step(false, false)
+	l.Chain.Step(true, false)
+	l.Chain.Step(false, false)
+	l.Chain.Step(false, false)
 	for i := 0; i < 33; i++ {
-		p.step(i == 32, false)
+		l.Chain.Step(i == 32, false)
 	}
-	p.step(true, false) // Update-DR
-	p.step(false, false)
-	if p.Chain.Err() == nil {
+	l.Chain.Step(true, false) // Update-DR
+	l.Chain.Step(false, false)
+	if l.Chain.Err() == nil {
 		t.Error("unaligned CFG_IN shift not detected")
 	}
 }

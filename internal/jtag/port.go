@@ -4,60 +4,92 @@ import (
 	"fmt"
 
 	"repro/internal/bitstream"
-	"repro/internal/fabric"
 )
 
-// Port drives a Chain as a Boundary-Scan configuration port, counting every
-// TCK cycle. It implements bitstream.Port and bitstream.AsyncPort: a partial
-// bitstream can be enqueued with StreamUpdates and shifts out on a
-// background worker while the host plans the next operation — the paper's
-// natural pipeline, since the Boundary-Scan shift is by far the slowest
-// stage. The TCK cost of a burst is a pure function of its word count, so it
-// is added to the cycle counter at enqueue time: Elapsed is deterministic
-// and identical between pipelined and serial delivery.
-type Port struct {
-	Chain    *Chain
-	TCKHz    float64
-	cycles   uint64
-	compress bool
-	traffic  bitstream.Traffic
-	q        bitstream.StreamQueue
+// Link drives a Chain as the Boundary-Scan link of a bitstream.Transport:
+// every write burst goes in through CFG_IN and every readback comes out
+// through CFG_OUT, one TCK cycle per TAP step. Bit-level TAP stepping is by
+// far the slowest stage of the paper's flow, which is why the transport
+// shifts streamed bursts on its background worker.
+type Link struct {
+	Chain *Chain
 }
 
 // DefaultTCKHz is the paper's Boundary-Scan test clock frequency.
 const DefaultTCKHz = 20e6
 
-// NewPort attaches a Boundary-Scan port to a configuration controller and
-// resets the TAP.
-func NewPort(ctrl *bitstream.Controller, tckHz float64) *Port {
-	p := &Port{Chain: NewChain(ctrl, 0x0050C093 /* Virtex-family-style idcode */), TCKHz: tckHz}
-	p.q.Deliver = p.deliverBurst
-	p.ResetTAP()
-	return p
+// NewLink wires a Boundary-Scan chain to a configuration controller.
+func NewLink(ctrl *bitstream.Controller) *Link {
+	return &Link{Chain: NewChain(ctrl, 0x0050C093 /* Virtex-family-style idcode */)}
 }
 
-func (p *Port) step(tms, tdi bool) bool {
-	p.cycles++
-	return p.Chain.Step(tms, tdi)
+// NewPort builds a Boundary-Scan transport over a configuration controller,
+// clocked at tckHz, with the TAP reset.
+func NewPort(ctrl *bitstream.Controller, tckHz float64) *bitstream.Transport {
+	return bitstream.NewTransport(ctrl, NewLink(ctrl), tckHz)
 }
 
-// ResetTAP forces Test-Logic-Reset (five TMS-high cycles) and parks in
-// Run-Test/Idle.
-func (p *Port) ResetTAP() {
+// Name implements bitstream.Link.
+func (l *Link) Name() string { return "Boundary-Scan" }
+
+// Reset implements bitstream.Link: five TMS-high cycles force
+// Test-Logic-Reset, one more parks in Run-Test/Idle.
+func (l *Link) Reset() uint64 {
 	for i := 0; i < 5; i++ {
-		p.step(true, false)
+		l.Chain.Step(true, false)
 	}
-	p.step(false, false)
+	l.Chain.Step(false, false)
+	return 6
 }
 
-// stepFn advances a TAP by one TCK cycle. The port's own step counts into
-// its cycle counter; the background worker supplies a locally counting one.
+// BurstCycles implements bitstream.Link: the TCK cost of one CFG_IN burst
+// is the IR load (4 entry states, IRLength shifts, 2 exit states) plus the
+// DR shift (3 entry states, 32 per word, 2 exit states). It must match what
+// loadIR and shiftDRIn actually step — Burst asserts the two agree.
+func (l *Link) BurstCycles(n int) uint64 {
+	return uint64(IRLength+6) + uint64(32*n+5)
+}
+
+// Burst implements bitstream.Link: the words shift through CFG_IN.
+func (l *Link) Burst(words []uint32) error {
+	step, n := l.counting()
+	loadIR(step, InstrCfgIn)
+	shiftDRIn(step, words)
+	if err := l.Chain.Err(); err != nil {
+		return err
+	}
+	if *n != l.BurstCycles(len(words)) {
+		return fmt.Errorf("jtag: burst stepped %d cycles, accounted %d", *n, l.BurstCycles(len(words)))
+	}
+	return nil
+}
+
+// Readback implements bitstream.Link: the request goes in through CFG_IN
+// and the frame data comes back through CFG_OUT.
+func (l *Link) Readback(req []uint32, n int) ([]uint32, uint64, error) {
+	step, cycles := l.counting()
+	loadIR(step, InstrCfgIn)
+	shiftDRIn(step, req)
+	loadIR(step, InstrCfgOut)
+	out := shiftDROut(step, n)
+	return out, *cycles, l.Chain.Err()
+}
+
+// counting returns a step function over the chain and the cycle count it
+// accumulates.
+func (l *Link) counting() (stepFn, *uint64) {
+	n := new(uint64)
+	return func(tms, tdi bool) bool {
+		*n++
+		return l.Chain.Step(tms, tdi)
+	}, n
+}
+
+// stepFn advances a TAP by one TCK cycle and returns TDO.
 type stepFn func(tms, tdi bool) bool
 
-// LoadIR shifts an instruction into the IR and returns to Run-Test/Idle.
-func (p *Port) LoadIR(code uint8) { loadIRWith(p.step, code) }
-
-func loadIRWith(step stepFn, code uint8) {
+// loadIR shifts an instruction into the IR and returns to Run-Test/Idle.
+func loadIR(step stepFn, code uint8) {
 	step(true, false)  // Select-DR
 	step(true, false)  // Select-IR
 	step(false, false) // Capture-IR
@@ -70,11 +102,9 @@ func loadIRWith(step stepFn, code uint8) {
 	step(false, false) // Run-Test/Idle
 }
 
-// ShiftDRIn shifts words into the current data register MSB-first and
+// shiftDRIn shifts words into the current data register MSB-first and
 // returns to Run-Test/Idle.
-func (p *Port) ShiftDRIn(words []uint32) { shiftDRInWith(p.step, words) }
-
-func shiftDRInWith(step stepFn, words []uint32) {
+func shiftDRIn(step stepFn, words []uint32) {
 	step(true, false)  // Select-DR
 	step(false, false) // Capture-DR
 	step(false, false) // Shift-DR
@@ -90,11 +120,11 @@ func shiftDRInWith(step stepFn, words []uint32) {
 	step(false, false) // Run-Test/Idle
 }
 
-// ShiftDROut shifts n words out of the current data register.
-func (p *Port) ShiftDROut(nWords int) []uint32 {
-	p.step(true, false)  // Select-DR
-	p.step(false, false) // Capture-DR
-	p.step(false, false) // Shift-DR
+// shiftDROut shifts n words out of the current data register.
+func shiftDROut(step stepFn, nWords int) []uint32 {
+	step(true, false)  // Select-DR
+	step(false, false) // Capture-DR
+	step(false, false) // Shift-DR
 	out := make([]uint32, nWords)
 	total := nWords * 32
 	n := 0
@@ -102,7 +132,7 @@ func (p *Port) ShiftDROut(nWords int) []uint32 {
 		var w uint32
 		for b := 0; b < 32; b++ {
 			n++
-			bit := p.step(n == total, false)
+			bit := step(n == total, false)
 			w <<= 1
 			if bit {
 				w |= 1
@@ -110,139 +140,9 @@ func (p *Port) ShiftDROut(nWords int) []uint32 {
 		}
 		out[i] = w
 	}
-	p.step(true, false)  // Update-DR
-	p.step(false, false) // Run-Test/Idle
+	step(true, false)  // Update-DR
+	step(false, false) // Run-Test/Idle
 	return out
 }
 
-// WriteUpdates implements bitstream.Port: the frame updates are packetised
-// into a partial bitstream and shifted through CFG_IN. Any background stream
-// drains first, so the chain sees bursts strictly in order.
-func (p *Port) WriteUpdates(updates []bitstream.FrameUpdate) error {
-	if err := p.AwaitStream(); err != nil {
-		return err
-	}
-	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, &p.traffic)
-	if len(words) == 0 {
-		return nil // every frame was an identical rewrite: nothing to shift
-	}
-	p.LoadIR(InstrCfgIn)
-	p.ShiftDRIn(words)
-	if err := p.Chain.Err(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// burstCycles is the TCK cost of delivering one CFG_IN burst: the IR load
-// (4 entry states, IRLength shifts, 2 exit states) plus the DR shift (3
-// entry states, 32 per word, 2 exit states). It must match what LoadIR and
-// ShiftDRIn actually step — deliverBurst asserts the two agree.
-func burstCycles(nWords int) uint64 {
-	return uint64(IRLength+6) + uint64(32*nWords+5)
-}
-
-// StreamUpdates implements bitstream.AsyncPort: the burst's TCK cost lands
-// on the cycle counter now; the TAP stepping — the expensive part of the
-// Boundary-Scan model — runs on the queue's background worker.
-// A fully elided burst (compression skipped every frame) still enqueues —
-// zero words, zero cycles — so callers' CompletedBursts book-keeping stays
-// in lockstep with their enqueue count.
-func (p *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
-	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, &p.traffic)
-	if len(words) > 0 {
-		p.cycles += burstCycles(len(words))
-	}
-	p.q.Enqueue(words)
-}
-
-// AwaitStream implements bitstream.AsyncPort.
-func (p *Port) AwaitStream() error { return p.q.Await() }
-
-// StreamInFlight implements bitstream.AsyncPort.
-func (p *Port) StreamInFlight() bool { return p.q.InFlight() }
-
-// CompletedBursts implements bitstream.AsyncPort.
-func (p *Port) CompletedBursts() uint64 { return p.q.Completed() }
-
-// deliverBurst shifts one queued burst through the TAP on the worker
-// goroutine. The worker owns the chain (and through it the configuration
-// controller) between Enqueue and Await; cycles were accounted at enqueue,
-// so the local count only cross-checks the closed-form burstCycles. The
-// burst re-delivers frames already staged write-through, so the controller
-// runs in re-delivery mode: full protocol, no configuration write.
-func (p *Port) deliverBurst(words []uint32) error {
-	if len(words) == 0 {
-		return nil // elided burst: nothing was accounted, nothing shifts
-	}
-	p.Chain.ctrl.SetRedelivery(true)
-	defer p.Chain.ctrl.SetRedelivery(false)
-	var n uint64
-	step := func(tms, tdi bool) bool {
-		n++
-		return p.Chain.Step(tms, tdi)
-	}
-	loadIRWith(step, InstrCfgIn)
-	shiftDRInWith(step, words)
-	if err := p.Chain.Err(); err != nil {
-		return err
-	}
-	if n != burstCycles(len(words)) {
-		return fmt.Errorf("jtag: burst stepped %d cycles, accounted %d", n, burstCycles(len(words)))
-	}
-	return nil
-}
-
-// ReadFrame implements bitstream.Port: a readback request goes in through
-// CFG_IN and the frame comes back through CFG_OUT. Any background stream
-// drains first.
-func (p *Port) ReadFrame(addr fabric.FrameAddr) ([]uint32, error) {
-	if err := p.AwaitStream(); err != nil {
-		return nil, err
-	}
-	dev := p.Chain.ctrl.Device()
-	req := bitstream.ReadFramesRequest(dev.FrameWords(), bitstream.FAR{Major: addr.Major, Minor: addr.Minor}, 1)
-	p.LoadIR(InstrCfgIn)
-	p.ShiftDRIn(req)
-	p.LoadIR(InstrCfgOut)
-	out := p.ShiftDROut(dev.FrameWords())
-	if err := p.Chain.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) != dev.FrameWords() {
-		return nil, fmt.Errorf("jtag: readback returned %d words", len(out))
-	}
-	return out, nil
-}
-
-// Elapsed implements bitstream.Port.
-func (p *Port) Elapsed() float64 { return float64(p.cycles) / p.TCKHz }
-
-// Name implements bitstream.Port.
-func (p *Port) Name() string { return "Boundary-Scan" }
-
-// Cycles returns the total TCK cycles consumed.
-func (p *Port) Cycles() uint64 { return p.cycles }
-
-// RestoreCycles overwrites the TCK cycle counter — the journal-recovery
-// path restores the counter a crashed system had accounted, so elapsed-time
-// book-keeping survives a crash bit-identically.
-func (p *Port) RestoreCycles(n uint64) { p.cycles = n }
-
-// SetCompress implements bitstream.CompressPort.
-func (p *Port) SetCompress(on bool) { p.compress = on }
-
-// Compressed implements bitstream.CompressPort.
-func (p *Port) Compressed() bool { return p.compress }
-
-// Traffic implements bitstream.CompressPort.
-func (p *Port) Traffic() bitstream.Traffic { return p.traffic }
-
-// RestoreTraffic implements bitstream.CompressPort.
-func (p *Port) RestoreTraffic(t bitstream.Traffic) { p.traffic = t }
-
-var (
-	_ bitstream.Port         = (*Port)(nil)
-	_ bitstream.AsyncPort    = (*Port)(nil)
-	_ bitstream.CompressPort = (*Port)(nil)
-)
+var _ bitstream.Link = (*Link)(nil)

@@ -77,10 +77,9 @@ type Stats struct {
 	SerialFallbacks int
 	// Fault-tolerance layer counters (the facade's retry/quarantine/scrub
 	// ladder). RetrySeconds and ScrubSeconds are the transport time spent
-	// on re-delivery and on scrubbing; both are accounted here and
-	// compensated out of the port's cycle counter, so the foreground
-	// accounting (PortSeconds, Elapsed, Cycles) stays bit-identical to a
-	// fault-free twin's.
+	// on re-delivery and on scrubbing: the facade fills them from the
+	// transport's retry and scrub traffic classes, which never touch the
+	// foreground accounting (PortSeconds, Elapsed, Cycles).
 	FaultsDetected    int
 	FaultRetries      int
 	RetriesExhausted  int
@@ -93,8 +92,7 @@ type Stats struct {
 	// Health lifecycle counters (the facade's self-healing layer): columns
 	// marked suspect by the error-rate tracker, quarantine probes issued and
 	// failed, and columns released back into service. ProbeSeconds is the
-	// transport time spent probing, compensated out of the port's cycle
-	// counter like RetrySeconds/ScrubSeconds.
+	// transport time spent probing (the probe traffic class).
 	ColumnsSuspected    int
 	Probes              int
 	ProbeFailures       int
@@ -153,7 +151,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over a device and configuration port.
-func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
+func NewEngine(dev *fabric.Device, port *bitstream.Transport) (*Engine, error) {
 	tool, err := NewFrameTool(dev, port)
 	if err != nil {
 		return nil, err
@@ -209,10 +207,10 @@ func (e *Engine) Tick(minCycles int) error { return e.tick(minCycles) }
 func (e *Engine) LastTick() float64 { return e.lastTick }
 
 // RestoreAccounting overwrites the engine's cumulative statistics and tick
-// cursor. Journal recovery uses it (together with the port's RestoreCycles)
-// to make a recovered system's accounting bit-identical to a never-crashed
-// twin's: the physical reconciliation traffic is reported separately, not
-// folded into the restored counters.
+// cursor. Journal recovery uses it (together with the transport's
+// RestoreCounters) to make a recovered system's accounting bit-identical to
+// a never-crashed twin's: the physical reconciliation traffic is reported
+// separately, not folded into the restored counters.
 func (e *Engine) RestoreAccounting(st Stats, lastTick float64) {
 	e.Stats = st
 	e.lastTick = lastTick

@@ -1,7 +1,6 @@
 package relocate
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -9,11 +8,6 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 )
-
-// ErrPortStalled is the typed cause surfaced when the stall watchdog fires:
-// the configuration port failed to harvest an in-flight stream within
-// StallTimeout. It feeds the Retry delegate like any transport fault.
-var ErrPortStalled = errors.New("relocate: configuration port stalled")
 
 // FrameTool turns logical configuration edits (cell configs, PIP bits, pad
 // bits) into partial-bitstream frame writes delivered through a
@@ -30,7 +24,7 @@ var ErrPortStalled = errors.New("relocate: configuration port stalled")
 // its final content.
 type FrameTool struct {
 	dev    *fabric.Device
-	port   bitstream.Port
+	port   *bitstream.Transport
 	shadow *bitstream.Shadow
 
 	// VerifyHook, when set, is invoked after every frame write (the
@@ -45,8 +39,9 @@ type FrameTool struct {
 	// Like VerifyHook it forces per-frame streaming.
 	ReadbackVerify bool
 
-	// Serial forces synchronous delivery even on an AsyncPort — the
-	// pipelined/serial bit-identity property tests and ablations use it.
+	// Serial awaits every burst right after enqueueing it, so nothing is
+	// ever in flight between operations — the pipelined/serial bit-identity
+	// property tests and ablations use it.
 	Serial bool
 
 	frames  int
@@ -62,17 +57,15 @@ type FrameTool struct {
 	touched  []fabric.FrameAddr
 	touchSet map[fabric.FrameAddr]bool
 
-	// async is the port's background-delivery interface (nil when the port
-	// cannot stream). streamingSet tracks every frame of every UNDELIVERED
-	// burst: a new write targeting one of them must first drain the queue,
-	// because on a real part the in-flight stream and the new write would
-	// race on the configuration port. streamBursts holds the per-burst
-	// frame lists in enqueue order; finished bursts are pruned lazily
-	// against the port's completed-burst counter, so a frame stops gating
-	// the moment its burst has fully shifted out — no blocking await
-	// needed. A frame appears in at most one unpruned burst: staging it
-	// again while its burst is live is exactly what the gate serialises.
-	async        bitstream.AsyncPort
+	// streamingSet tracks every frame of every UNDELIVERED streamed burst: a
+	// new write targeting one of them must first drain the queue, because on
+	// a real part the in-flight stream and the new write would race on the
+	// configuration port. streamBursts holds the per-burst frame lists in
+	// enqueue order; finished bursts are pruned lazily against the port's
+	// completed-burst counter, so a frame stops gating the moment its burst
+	// has fully shifted out — no blocking await needed. A frame appears in
+	// at most one unpruned burst: staging it again while its burst is live
+	// is exactly what the gate serialises.
 	streamBursts [][]fabric.FrameAddr
 	burstsDone   uint64
 	streamingSet map[fabric.FrameAddr]bool
@@ -87,17 +80,11 @@ type FrameTool struct {
 	// AwaitStream (it re-delivers through the port directly).
 	Retry func(cause error, addrs []fabric.FrameAddr) error
 	// StallTimeout, when positive, arms a watchdog on every harvest: if the
-	// port's AwaitStream has not returned within the deadline the harvest
-	// fails with ErrPortStalled (wrapped), which feeds the Retry delegate
-	// like any other transport fault. The abandoned await keeps draining in
-	// its goroutine; a later harvest (or HarvestPending) reaps it.
+	// stream has not drained within the deadline the harvest fails with
+	// bitstream.ErrStalled (wrapped), which feeds the Retry delegate like
+	// any other transport fault. The stream keeps shifting; the next drain
+	// collects it.
 	StallTimeout time.Duration
-	// awaitCh holds the result channel of an abandoned watchdog await: the
-	// goroutine blocked in the port's AwaitStream when a previous harvest
-	// timed out. The next harvest re-selects on it instead of spawning a
-	// second awaiter (the port serializes awaits on one condition variable,
-	// but two awaiters would race to consume the sticky error).
-	awaitCh chan error
 	// unharvested accumulates the distinct frames of every burst enqueued
 	// since the last clean AwaitStream — the conservative re-delivery
 	// superset: the drain counts failed bursts completed, so a sticky
@@ -145,9 +132,9 @@ type FrameTool struct {
 // delivered configuration. PreDeliver is called with the frame set of one
 // delivery before any of it reaches the port; returning an error aborts the
 // delivery (nothing is streamed). Delivered is called with the delivered
-// updates — for an async port at enqueue time, when the burst's content is
-// fixed. The updates' data slices are owned by the shadow; observers must
-// not retain or mutate them.
+// updates at enqueue time, when the burst's content is fixed. The updates'
+// data slices are owned by the shadow; observers must not retain or mutate
+// them.
 type DeliveryBarrier interface {
 	PreDeliver(addrs []fabric.FrameAddr) error
 	Delivered(updates []bitstream.FrameUpdate)
@@ -183,19 +170,17 @@ type ViewSink interface {
 // SetViewSink attaches the touched-reporting sink (nil detaches).
 func (ft *FrameTool) SetViewSink(s ViewSink) { ft.sink = s }
 
-// NewFrameTool builds a tool over a device and port. The shadow is
+// NewFrameTool builds a tool over a device and transport. The shadow is
 // initialised from the device's current configuration.
-func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
+func NewFrameTool(dev *fabric.Device, port *bitstream.Transport) (*FrameTool, error) {
 	shadow, err := bitstream.NewShadow(dev)
 	if err != nil {
 		return nil, err
 	}
-	async, _ := port.(bitstream.AsyncPort)
 	return &FrameTool{
 		dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(),
 		pendingSet:   make(map[fabric.FrameAddr]bool),
 		touchSet:     make(map[fabric.FrameAddr]bool),
-		async:        async,
 		streamingSet: make(map[fabric.FrameAddr]bool),
 		lastSent:     make(map[fabric.FrameAddr][]uint32),
 		confirmed:    make(map[fabric.FrameAddr][]uint32),
@@ -327,8 +312,8 @@ func (ft *FrameTool) UnquarantineFrame(addr fabric.FrameAddr) {
 // FrameQuarantined reports whether a frame is excluded from port delivery.
 func (ft *FrameTool) FrameQuarantined(addr fabric.FrameAddr) bool { return ft.quarantined[addr] }
 
-// Port returns the configuration port.
-func (ft *FrameTool) Port() bitstream.Port { return ft.port }
+// Port returns the configuration transport.
+func (ft *FrameTool) Port() *bitstream.Transport { return ft.port }
 
 // Shadow returns the recovery copy.
 func (ft *FrameTool) Shadow() *bitstream.Shadow { return ft.shadow }
@@ -394,7 +379,7 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 			return err
 		}
 		if ft.ReadbackVerify && !ft.quarantined[addr] {
-			got, err := ft.port.ReadFrame(addr)
+			got, err := ft.port.Read(bitstream.Foreground, addr)
 			if err != nil {
 				return fmt.Errorf("relocate: readback of %v: %w", addr, err)
 			}
@@ -466,10 +451,9 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 
 // Flush stages every pending frame into one partial bitstream, sorted by
 // frame address so consecutive frames share FDRI bursts. It is a no-op when
-// nothing is pending. On an AsyncPort the burst is enqueued for background
-// shift-out and Flush returns while it is still streaming — stage-stream;
-// AwaitStream is the matching harvest. On a synchronous port (or with
-// Serial set) the burst is delivered before Flush returns.
+// nothing is pending. The burst is enqueued for background shift-out and
+// Flush returns while it is still streaming — stage-stream; AwaitStream is
+// the matching harvest. With Serial set Flush harvests before returning.
 //
 // Designer-path writes may have landed since the frames were staged — in a
 // batched plan, a Load places directly onto the device between two ops'
@@ -523,84 +507,48 @@ func (ft *FrameTool) Flush() error {
 			return err
 		}
 	}
-	if ft.async != nil && !ft.Serial {
-		// Stage-stream: the burst shifts out in the background. The words
-		// are built from the shadow's current slices at enqueue time (the
-		// stream copies the data), so later staging cannot mutate an
-		// in-flight burst. Every frame gates conflicting writes until the
-		// burst completes (pruneStreams) or the stream is awaited.
-		for _, addr := range addrs {
-			ft.streamingSet[addr] = true
-			if !ft.unharvestedSet[addr] {
-				if ft.unharvestedSet == nil {
-					ft.unharvestedSet = make(map[fabric.FrameAddr]bool)
-				}
-				ft.unharvestedSet[addr] = true
-				ft.unharvested = append(ft.unharvested, addr)
+	// Stage-stream: the burst shifts out in the background. The words are
+	// built from the shadow's current slices at enqueue time (the stream
+	// copies the data), so later staging cannot mutate an in-flight burst.
+	// Every frame gates conflicting writes until the burst completes
+	// (pruneStreams) or the stream is awaited.
+	for _, addr := range addrs {
+		ft.streamingSet[addr] = true
+		if !ft.unharvestedSet[addr] {
+			if ft.unharvestedSet == nil {
+				ft.unharvestedSet = make(map[fabric.FrameAddr]bool)
 			}
+			ft.unharvestedSet[addr] = true
+			ft.unharvested = append(ft.unharvested, addr)
 		}
-		ft.streamBursts = append(ft.streamBursts, addrs)
-		// The burst's content is fixed at enqueue: it is the delta baseline
-		// of the next delivery, whatever the shift-out's outcome (confirmed
-		// only advances at a clean harvest).
-		for _, u := range updates {
-			ft.lastSent[u.Addr] = u.Data
-		}
-		ft.async.StreamUpdates(updates)
-		if ft.barrier != nil {
-			// The burst's content is fixed at enqueue (the stream copies the
-			// data), so the delivered view is already determined here even
-			// though the shift-out completes later.
-			ft.barrier.Delivered(updates)
-		}
-		return nil
 	}
-	if err := ft.port.WriteUpdates(updates); err != nil {
-		return err
-	}
+	ft.streamBursts = append(ft.streamBursts, addrs)
+	// The burst's content is fixed at enqueue: it is the delta baseline of
+	// the next delivery, whatever the shift-out's outcome (confirmed only
+	// advances at a clean harvest).
 	for _, u := range updates {
 		ft.lastSent[u.Addr] = u.Data
-		ft.confirmed[u.Addr] = u.Data
 	}
+	ft.port.Stream(updates)
 	if ft.barrier != nil {
+		// The delivered view is already determined here even though the
+		// shift-out completes later.
 		ft.barrier.Delivered(updates)
 	}
-	// The controller re-wrote the same data the reconciled shadow holds;
-	// fold exactly those generation bumps in so the next sync stays a
-	// no-op, and tell the view nothing it has not already applied changed.
-	ft.genSeen = ft.dev.Generation()
-	if ft.sink != nil {
-		ft.sink.Advanced()
+	if ft.Serial {
+		return ft.AwaitStream()
 	}
 	return nil
-}
-
-// drainSuperseded drains an in-flight stream whose outcome no longer
-// matters — a rollback is about to overwrite whatever it delivered. The
-// error is discarded and the Retry delegate is bypassed: re-delivering a
-// superseded stream would only waste transport time and double-count the
-// fault the rollback is already answering for.
-func (ft *FrameTool) drainSuperseded() {
-	retry := ft.Retry
-	ft.Retry = nil
-	_ = ft.AwaitStream()
-	ft.Retry = retry
-	// The superseded content is confirmed-or-overwritten either way; the
-	// unharvested set must not leak into a later fault's re-delivery.
-	ft.unharvested = nil
-	if len(ft.unharvestedSet) > 0 {
-		clear(ft.unharvestedSet)
-	}
 }
 
 // pruneStreams retires the frames of every burst the background worker has
 // finished shifting out since the last check — the non-blocking side of the
 // in-flight tracking.
 func (ft *FrameTool) pruneStreams() {
-	if ft.async == nil || len(ft.streamBursts) == 0 {
+	if len(ft.streamBursts) == 0 {
 		return
 	}
-	done := ft.async.CompletedBursts()
+	done := ft.port.CompletedBursts()
 	for ft.burstsDone < done && len(ft.streamBursts) > 0 {
 		for _, addr := range ft.streamBursts[0] {
 			delete(ft.streamingSet, addr)
@@ -615,33 +563,15 @@ func (ft *FrameTool) pruneStreams() {
 // either way. A stream error is first offered to the Retry delegate (when
 // one is installed) with the unharvested frame set; a clean harvest —
 // including one the delegate salvaged — confirms every enqueued burst and
-// empties the set. A no-op on a synchronous port or when nothing is in
-// flight.
+// empties the set. A no-op when nothing is in flight.
 func (ft *FrameTool) AwaitStream() error {
-	if ft.async == nil {
-		return nil
-	}
 	err := ft.harvest()
-	ft.streamBursts = nil
-	ft.burstsDone = ft.async.CompletedBursts()
-	if len(ft.streamingSet) > 0 {
-		clear(ft.streamingSet)
-	}
+	ft.retireStreams()
 	if err != nil && ft.Retry != nil {
 		err = ft.Retry(err, ft.unharvested)
 	}
 	if err == nil {
-		// Every enqueued burst is confirmed on the fabric (directly or
-		// salvaged by the delegate): advance the confirmed delta baseline.
-		for _, addr := range ft.unharvested {
-			if data, ok := ft.lastSent[addr]; ok {
-				ft.confirmed[addr] = data
-			}
-		}
-		ft.unharvested = nil
-		if len(ft.unharvestedSet) > 0 {
-			clear(ft.unharvestedSet)
-		}
+		ft.confirmUnharvested()
 	}
 	return err
 }
@@ -654,66 +584,46 @@ func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) ([]uint32, bool) {
 	return data, ok
 }
 
-// harvest performs the blocking port await, under the stall watchdog when
-// StallTimeout is set. On timeout it returns ErrPortStalled (wrapped) and
-// leaves the await goroutine parked on awaitCh; the next harvest reaps it.
-// A reaped result can be stale — the abandoned awaiter may have returned
-// nil for an earlier drain while bursts enqueued since are still in flight
-// — so a nil result is only accepted when the queue is actually empty.
-func (ft *FrameTool) harvest() error {
-	if ft.StallTimeout <= 0 && ft.awaitCh == nil {
-		return ft.async.AwaitStream()
+// harvest performs the blocking transport await under the stall watchdog
+// (when StallTimeout is set); on timeout it returns bitstream.ErrStalled
+// (wrapped) with the stream still shifting.
+func (ft *FrameTool) harvest() error { return ft.port.AwaitWithin(ft.StallTimeout) }
+
+// HarvestPending drains the in-flight stream without the watchdog and
+// without the Retry delegate, discarding its error. A rollback and Close
+// use it: the stream is superseded (the recovery stream overwrites whatever
+// it delivered, and re-delivering it would only double-count the fault the
+// rollback already answers for) or has no operation left to answer to, but
+// nothing may touch the configuration logic until it has fully shifted out.
+func (ft *FrameTool) HarvestPending() {
+	clean := ft.port.Await() == nil
+	ft.retireStreams()
+	if clean {
+		ft.confirmUnharvested()
 	}
-	var timeout <-chan time.Time
-	if ft.StallTimeout > 0 {
-		timer := time.NewTimer(ft.StallTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for {
-		if ft.awaitCh == nil {
-			ch := make(chan error, 1)
-			async := ft.async
-			go func() { ch <- async.AwaitStream() }()
-			ft.awaitCh = ch
-		}
-		select {
-		case err := <-ft.awaitCh:
-			ft.awaitCh = nil
-			if err == nil && ft.async.StreamInFlight() {
-				// Stale result from an abandoned await that completed
-				// before the current bursts were enqueued; await again.
-				continue
-			}
-			return err
-		case <-timeout:
-			return fmt.Errorf("%w (no harvest within %v)", ErrPortStalled, ft.StallTimeout)
-		}
-	}
+	// The superseded content is confirmed-or-overwritten either way; the
+	// unharvested set must not leak into a later fault's re-delivery.
+	ft.unharvested = nil
+	clear(ft.unharvestedSet)
 }
 
-// HarvestPending reaps an abandoned watchdog await and drains any remaining
-// in-flight stream, without the watchdog and without the Retry delegate —
-// the shutdown path: Close must not leave the awaiter goroutine blocked on
-// the port, and a fault surfacing here has no operation left to answer to.
-func (ft *FrameTool) HarvestPending() {
-	if ft.async == nil {
-		return
-	}
-	if ft.awaitCh != nil {
-		<-ft.awaitCh
-		ft.awaitCh = nil
-	}
-	_ = ft.async.AwaitStream()
+// retireStreams forgets the in-flight tracking after a drain.
+func (ft *FrameTool) retireStreams() {
 	ft.streamBursts = nil
-	ft.burstsDone = ft.async.CompletedBursts()
-	if len(ft.streamingSet) > 0 {
-		clear(ft.streamingSet)
+	ft.burstsDone = ft.port.CompletedBursts()
+	clear(ft.streamingSet)
+}
+
+// confirmUnharvested advances the confirmed delta baseline of every frame
+// enqueued since the last clean harvest, and empties the unharvested set.
+func (ft *FrameTool) confirmUnharvested() {
+	for _, addr := range ft.unharvested {
+		if data, ok := ft.lastSent[addr]; ok {
+			ft.confirmed[addr] = data
+		}
 	}
 	ft.unharvested = nil
-	if len(ft.unharvestedSet) > 0 {
-		clear(ft.unharvestedSet)
-	}
+	clear(ft.unharvestedSet)
 }
 
 // StreamInFlight reports whether a background stream is still shifting out.
@@ -807,31 +717,32 @@ func (ft *FrameTool) BeginSnapshot() (*bitstream.Snapshot, error) {
 	return ft.shadow.Begin(), nil
 }
 
-// RecoveryWords builds the partial recovery stream for a snapshot taken with
-// BeginSnapshot. Any in-flight stream drains first — the recovery words are
-// fed to the controller the worker would otherwise still own, and the
-// rollback overwrites frames the stream may cover. The drained stream's own
-// error is discarded: a rollback is already under way, and the recovery
-// stream supersedes whatever the failed delivery left behind. It then
-// synchronises so designer-path writes since the checkpoint are part of the
-// dirty set.
-func (ft *FrameTool) RecoveryWords(snap *bitstream.Snapshot) ([]uint32, error) {
-	ft.drainSuperseded()
-	if err := ft.sync(); err != nil {
-		return nil, err
+// Restore rolls the configuration back to a snapshot taken with
+// BeginSnapshot — the paper's recovery path, proportional to the change
+// instead of the device. The in-flight stream is superseded: it drains in
+// full first (HarvestPending), so the recovery burst is strictly ordered
+// after it. The shadow then syncs, so designer-path writes since the
+// checkpoint are part of the dirty set, and the pre-image of every dirty
+// frame streams through the transport as one recovery-class writing burst.
+// Whatever happened to that burst, the pending (dead) stream of the failed
+// operation is dropped, the shadow rolls back to the checkpoint state and
+// the view sink is handed the dirty set, which it restores its occupancy
+// picture from instead of rescanning the device. The snapshot stays armed,
+// so the same checkpoint can back another attempt.
+//
+// Restore returns the pre-images it delivered. On error the shadow holds the
+// checkpoint state but the device may not: the caller must stream a full
+// recovery.
+func (ft *FrameTool) Restore(snap *bitstream.Snapshot) ([]bitstream.FrameUpdate, error) {
+	ft.HarvestPending()
+	err := ft.sync()
+	var restored []bitstream.FrameUpdate
+	if err == nil {
+		restored = snap.Recovery()
+		if len(restored) > 0 {
+			err = ft.port.Write(bitstream.Recovery, restored)
+		}
 	}
-	return snap.RecoveryWords(), nil
-}
-
-// CompleteRestore finishes a rollback after the recovery stream was fed to
-// the configuration logic: the pending (dead) stream of the failed operation
-// is dropped, the shadow rolls back to the checkpoint state, and the
-// generation cursor catches up with the recovery writes. The snapshot's
-// dirty-frame set is handed to the view sink, which restores its occupancy
-// picture from exactly those frames instead of rescanning the device. The
-// snapshot stays armed, so the same checkpoint can back another attempt.
-func (ft *FrameTool) CompleteRestore(snap *bitstream.Snapshot) {
-	ft.drainSuperseded() // see RecoveryWords: a rollback supersedes the stream
 	dirty := snap.Frames()
 	ft.AbortPending()
 	snap.Rollback()
@@ -847,6 +758,7 @@ func (ft *FrameTool) CompleteRestore(snap *bitstream.Snapshot) {
 	if ft.sink != nil && len(dirty) > 0 {
 		ft.sink.Synced(dirty)
 	}
+	return restored, err
 }
 
 // cellEdits builds the edits that set a cell's configuration word.

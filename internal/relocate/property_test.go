@@ -1,11 +1,11 @@
 package relocate_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
+	"repro/internal/faultport"
 	"repro/internal/itc99"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -123,39 +123,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// flakyPort wraps a Port and injects a mid-stream failure: once its frame
-// budget is exhausted, WriteUpdates delivers a prefix of the requested
-// frames and then errors — the partial-delivery case a real configuration
-// port can produce.
-type flakyPort struct {
-	inner  bitstream.Port
-	budget int // frames still deliverable; < 0 = unlimited
-}
-
-func (f *flakyPort) WriteUpdates(updates []bitstream.FrameUpdate) error {
-	if f.budget < 0 {
-		return f.inner.WriteUpdates(updates)
-	}
-	if len(updates) <= f.budget {
-		f.budget -= len(updates)
-		return f.inner.WriteUpdates(updates)
-	}
-	k := f.budget
-	f.budget = 0
-	if k > 0 {
-		if err := f.inner.WriteUpdates(updates[:k]); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("flaky port: injected failure after %d frames", k)
-}
-
-func (f *flakyPort) ReadFrame(addr fabric.FrameAddr) ([]uint32, error) {
-	return f.inner.ReadFrame(addr)
-}
-func (f *flakyPort) Elapsed() float64 { return f.inner.Elapsed() }
-func (f *flakyPort) Name() string     { return f.inner.Name() }
-
 // TestPartialCheckpointBitIdentical is the checkpoint-correctness property:
 // after a relocation aborted by a mid-stream write failure (plus a
 // designer-path scribble the tool only sees at the next sync), restoring the
@@ -180,13 +147,18 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctrl := bitstream.NewController(dev)
-			port := &flakyPort{inner: bitstream.NewParallelPort(ctrl, 50e6), budget: -1}
+			// The mid-stream failure: once the fault hook's frame budget is
+			// exhausted the burst crossing it fails; serial commit surfaces
+			// it at that burst's own flush.
+			flaky := faultport.New(1)
+			port := bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, 8)
+			port.SetHook(flaky)
 			eng, err := relocate.NewEngine(dev, port)
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng.MaxCyclesPerWait = 0
+			eng.Tool.Serial = true
 
 			// Checkpoint both ways at the same instant: the full shadow
 			// clone is the reference, the snapshot is the system under
@@ -217,24 +189,17 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 				t.Fatal("no FF cell placed")
 			}
 			to := fabric.CellRef{Coord: fabric.Coord{Row: 12, Col: 18}, Cell: from.Cell}
-			port.budget = budget
+			flaky.TripAfter(budget)
 			_, err = eng.RelocateCell(from, to)
 			if err == nil {
 				t.Fatalf("style=%v budget=%d: relocation survived the flaky port", style, budget)
 			}
 
 			// Frame-granular restore: replay only the dirty pre-images.
-			port.budget = -1
-			words, err := eng.Tool.RecoveryWords(snap)
-			if err != nil {
-				t.Fatal(err)
+			flaky.Disarm()
+			if _, err := eng.Tool.Restore(snap); err != nil {
+				t.Fatalf("recovery stream rejected: %v", err)
 			}
-			if len(words) > 0 {
-				if err := ctrl.Feed(words...); err != nil {
-					t.Fatalf("recovery stream rejected: %v", err)
-				}
-			}
-			eng.Tool.CompleteRestore(snap)
 			snap.Release()
 
 			// Bit-identity against the full-shadow checkpoint, every frame
@@ -307,7 +272,7 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 func TestBatchFlushReconcilesDesignerWrites(t *testing.T) {
 	dev := fabric.NewDevice(fabric.TestDevice)
 	ctrl := bitstream.NewController(dev)
-	eng, err := relocate.NewEngine(dev, bitstream.NewParallelPort(ctrl, 50e6))
+	eng, err := relocate.NewEngine(dev, bitstream.NewSelectMAP(ctrl, 50e6, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +313,9 @@ func TestBatchFlushReconcilesDesignerWrites(t *testing.T) {
 
 	// (b) Rollback reverts tool AND designer writes: the flush must not
 	// advance the sync cursor past generations it did not produce.
-	words, err := ft.RecoveryWords(snap)
-	if err != nil {
+	if _, err := ft.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Feed(words...); err != nil {
-		t.Fatal(err)
-	}
-	ft.CompleteRestore(snap)
 	snap.Release()
 	for _, ref := range []fabric.CellRef{toolRef, sameColRef, otherRef} {
 		if got := dev.ReadCell(ref); got.Used {

@@ -26,7 +26,7 @@ type harness struct {
 	last []sim.Val
 }
 
-func newHarness(t *testing.T, dev *fabric.Device, d *place.Design, port bitstream.Port) *harness {
+func newHarness(t *testing.T, dev *fabric.Device, d *place.Design, port *bitstream.Transport) *harness {
 	t.Helper()
 	ls, err := sim.NewLockStep(d)
 	if err != nil {
@@ -87,8 +87,8 @@ func (h *harness) run(n int) {
 	h.last = h.ls.OutputSnapshot() // keep the glitch baseline current
 }
 
-func directPort(dev *fabric.Device) bitstream.Port {
-	return bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)
+func directPort(dev *fabric.Device) *bitstream.Transport {
+	return bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, 8)
 }
 
 func placeDesign(t *testing.T, dev *fabric.Device, name string) *place.Design {

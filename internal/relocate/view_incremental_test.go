@@ -19,7 +19,7 @@ import (
 func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 	dev := fabric.NewDevice(fabric.TestDevice)
 	ctrl := bitstream.NewController(dev)
-	port := bitstream.NewParallelPort(ctrl, 50e6)
+	port := bitstream.NewSelectMAP(ctrl, 50e6, 8)
 	eng, err := NewEngine(dev, port)
 	if err != nil {
 		t.Fatal(err)
@@ -177,16 +177,9 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 					_ = eng.ReleaseTree(sources[rng.Intn(len(sources))])
 				}
 			}
-			words, err := eng.Tool.RecoveryWords(snap)
-			if err != nil {
+			if _, err := eng.Tool.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if len(words) > 0 {
-				if err := ctrl.Feed(words...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			eng.Tool.CompleteRestore(snap)
 			snap.Release()
 			return "rollback"
 		}

@@ -102,10 +102,7 @@ func (s *System) attachJournal(j *journal.Journal, seq uint64) {
 // journalInit appends the opening record of a fresh journal.
 func (s *System) journalInit(cfg *config) error {
 	portKind := "jtag"
-	switch {
-	case cfg.portFactory != nil:
-		portKind = "custom"
-	case cfg.port == SelectMAP:
+	if cfg.port == SelectMAP {
 		portKind = "selectmap"
 	}
 	init := journal.Init{
@@ -248,6 +245,19 @@ func (s *System) journalAbortLocked() {
 	s.crash("abort")
 }
 
+// countersFromState rebuilds the transport accounting a journaled state
+// recorded.
+func countersFromState(st *journal.State) bitstream.Counters {
+	var c bitstream.Counters
+	c[bitstream.Foreground] = bitstream.ClassCounters{Cycles: st.PortCycles, Traffic: bitstream.Traffic{
+		WordsShifted: st.WordsShifted, FullWords: st.FullWords, FramesDelivered: st.FramesDelivered,
+	}}
+	for class := bitstream.Retry; class < bitstream.NumClasses; class++ {
+		c[class] = st.Maintenance[class.String()]
+	}
+	return c
+}
+
 func crcFrame(words []uint32) uint32 {
 	buf := make([]byte, 4*len(words))
 	for i, w := range words {
@@ -259,27 +269,25 @@ func crcFrame(words []uint32) uint32 {
 	return crc32.ChecksumIEEE(buf)
 }
 
-// cyclePort is the optional port capability journal recovery needs to make
-// transport accounting crash-transparent.
-type cyclePort interface {
-	Cycles() uint64
-	RestoreCycles(uint64)
-}
-
 // journalStateLocked serialises the complete host book-keeping.
 func (s *System) journalStateLocked() journal.State {
+	c := s.port.Counters()
+	fg := c[bitstream.Foreground]
 	st := journal.State{
-		Stats:    s.engine.Stats,
-		LastTick: s.engine.LastTick(),
+		Stats:           s.engine.Stats,
+		LastTick:        s.engine.LastTick(),
+		PortCycles:      fg.Cycles,
+		WordsShifted:    fg.WordsShifted,
+		FullWords:       fg.FullWords,
+		FramesDelivered: fg.FramesDelivered,
 	}
-	if cp, ok := s.port.(cyclePort); ok {
-		st.PortCycles = cp.Cycles()
-	}
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		t := tp.Traffic()
-		st.WordsShifted = t.WordsShifted
-		st.FullWords = t.FullWords
-		st.FramesDelivered = t.FramesDelivered
+	for class := bitstream.Retry; class < bitstream.NumClasses; class++ {
+		if c[class] != (bitstream.ClassCounters{}) {
+			if st.Maintenance == nil {
+				st.Maintenance = map[string]bitstream.ClassCounters{}
+			}
+			st.Maintenance[class.String()] = c[class]
+		}
 	}
 	names := make([]string, 0, len(s.designs))
 	for name := range s.designs {

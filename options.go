@@ -20,14 +20,17 @@ const (
 )
 
 // config collects the construction parameters; it is only reachable through
-// the With* functional options.
+// the With* functional options. serialCommit and faultHook are set only by
+// the package's own tests: serial commit (await every burst right after
+// enqueueing it) is the pipelined/serial twin, and the fault hook drives the
+// robustness and chaos suites.
 type config struct {
 	device       fabric.Preset
 	port         PortKind
 	clockHz      float64
 	appClockHz   float64
 	serialCommit bool
-	portFactory  func(*bitstream.Controller) bitstream.Port
+	faultHook    bitstream.FaultHook
 	tmplPolicy   *template.Policy
 	journalPath  string
 	retry        *RetryPolicy
@@ -65,15 +68,6 @@ func WithAppClock(hz float64) Option {
 	return func(c *config) { c.appClockHz = hz }
 }
 
-// WithSerialCommit disables the two-stage commit pipeline: every partial
-// bitstream is delivered synchronously before the next operation plans.
-// Configuration memory and cycle accounting are bit-identical either way
-// (the property the pipeline tests pin down); serial mode exists for that
-// comparison and for debugging.
-func WithSerialCommit() Option {
-	return func(c *config) { c.serialCommit = true }
-}
-
 // WithTemplateCache enables the content-addressed template cache: cold
 // loads capture their pre-routed, translation-invariant frame image; a
 // later Load of a netlist hashing to the same circuit and region shape
@@ -103,16 +97,6 @@ func WithJournal(path string) Option {
 	return func(c *config) { c.journalPath = path }
 }
 
-// WithPortModel substitutes a custom configuration port built over the
-// system's controller — fault-injection harnesses wrap the stock ports this
-// way (internal/faultport is the stock wrapper). A system built this way
-// journals its port kind as "custom"; rlm.Recover of such a journal needs
-// the factory passed again as a recover option (the journal cannot persist
-// a closure) and falls back to Boundary-Scan when it is not.
-func WithPortModel(factory func(*bitstream.Controller) bitstream.Port) Option {
-	return func(c *config) { c.portFactory = factory }
-}
-
 // WithRetryPolicy arms the facade's fault-tolerance ladder: when an
 // operation's harvest surfaces a transport fault, the frames of the
 // operation are re-delivered from the host shadow up to MaxRetries times
@@ -131,8 +115,8 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // attest) and rewrites any frame that silently diverged (the SEU model),
 // emitting ScrubRepair events. The scrubber yields to foreground work — a
 // pass is skipped while an operation's stream is in flight — and its
-// transport traffic is compensated out of the port's cycle accounting
-// (reported as Stats.ScrubSeconds instead). Stop it with System.Close.
+// transport traffic is accounted to the transport's scrub class (reported as
+// Stats.ScrubSeconds), never to the foreground. Stop it with System.Close.
 // batchFrames bounds the frames checked per pass (0 = a default of 32).
 func WithScrubber(interval time.Duration, batchFrames int) Option {
 	return func(c *config) { c.scrubEvery, c.scrubBatch = interval, batchFrames }

@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/faultport"
 	"repro/internal/itc99"
-	"repro/internal/jtag"
 )
 
 // comparePipelinedSerial asserts the two systems' configuration memories are
@@ -37,8 +35,8 @@ func comparePipelinedSerial(t *testing.T, ctx string, pipe, serial *System) {
 			}
 		}
 	}
-	pc := pipe.Port().(interface{ Cycles() uint64 }).Cycles()
-	sc := serial.Port().(interface{ Cycles() uint64 }).Cycles()
+	pc := pipe.Port().Cycles()
+	sc := serial.Port().Cycles()
 	if pc != sc {
 		t.Fatalf("%s: TCK cycles diverged: pipelined %d, serial %d", ctx, pc, sc)
 	}
@@ -59,7 +57,7 @@ func TestPipelinedCommitBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan), WithSerialCommit())
+	serial, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan), withSerialCommit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +191,8 @@ func pickResident(rng *rand.Rand, resident map[string]bool) string {
 // mid-stream fault comes from internal/faultport, the shared fault model
 // (this test predates it and used its own flaky wrapper).
 func TestPipelinedPlanRollsBackOnMidStreamFailure(t *testing.T) {
-	var flaky *faultport.Port
-	sys, err := New(WithDevice(fabric.XCV50),
-		WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
-			flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), 1)
-			return flaky
-		}))
+	flaky := faultport.New(1)
+	sys, err := New(WithDevice(fabric.XCV50), withFaultHook(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}

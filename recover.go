@@ -38,10 +38,10 @@ type RecoverReport struct {
 	// roll-back (0 for clean and rolled-forward recoveries).
 	FramesRestored int
 	// RecoverySeconds is the configuration-port transport time the
-	// reconciliation itself consumed. It is reported here and NOT added to
-	// the recovered system's accounting: the restored counters are the
-	// never-crashed twin's, which is what makes recovery transparent to the
-	// paper's cost model.
+	// reconciliation itself consumed (recovery-class traffic). It is
+	// reported here and NOT added to the recovered system's accounting: the
+	// restored counters are the never-crashed twin's, which is what makes
+	// recovery transparent to the paper's cost model.
 	RecoverySeconds float64
 	// Designs lists the designs live in the recovered system.
 	Designs []string
@@ -69,9 +69,7 @@ type RecoverReport struct {
 // committed state references designs the device readback no longer shows
 // fails with ErrDeviceMismatch (wrapped), as does a device-geometry mismatch.
 //
-// Options are applied over the journal's recorded configuration; the journal
-// records only the port KIND, so a system built with WithPortModel must pass
-// the factory again to recover onto the same port model.
+// Options are applied over the journal's recorded configuration.
 func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *RecoverReport, error) {
 	log, err := journal.Scan(journalPath)
 	if err != nil {
@@ -93,17 +91,9 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	if err != nil {
 		return nil, nil, err
 	}
-	// Engine initialisation traffic is part of a fresh system's deterministic
-	// accounting; remember it so a nothing-ever-committed recovery can rewind
-	// the reconciliation traffic without losing it.
-	var freshCycles uint64
-	if cp, ok := s.port.(cyclePort); ok {
-		freshCycles = cp.Cycles()
-	}
-	var freshTraffic bitstream.Traffic
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		freshTraffic = tp.Traffic()
-	}
+	// A fresh system's accounting (the link reset) is what a
+	// nothing-ever-committed recovery keeps.
+	counters := s.port.Counters()
 	j, err := journal.OpenAppend(journalPath, rs.ValidLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rlm: reopening journal: %w", err)
@@ -145,31 +135,12 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	}
 	// Measure the reconciliation's own transport cost before the restored
 	// counters overwrite it.
-	rep.RecoverySeconds = s.port.Elapsed()
+	rep.RecoverySeconds = s.port.Seconds(bitstream.Recovery)
 	if target.Seq > 0 {
 		s.engine.RestoreAccounting(target.Stats, target.LastTick)
-		if cp, ok := s.port.(cyclePort); ok {
-			cp.RestoreCycles(target.PortCycles)
-		}
-		if tp, ok := s.port.(bitstream.CompressPort); ok {
-			tp.RestoreTraffic(bitstream.Traffic{
-				WordsShifted:    target.WordsShifted,
-				FullWords:       target.FullWords,
-				FramesDelivered: target.FramesDelivered,
-			})
-		}
-	} else {
-		if cp, ok := s.port.(cyclePort); ok {
-			// Nothing ever committed: the journaled state is zero-valued, but a
-			// fresh system's engine initialisation itself costs port cycles (the
-			// never-crashed twin kept them). Rewind the reconciliation traffic
-			// only, leaving the deterministic initialisation cost in place.
-			cp.RestoreCycles(freshCycles)
-		}
-		if tp, ok := s.port.(bitstream.CompressPort); ok {
-			tp.RestoreTraffic(freshTraffic)
-		}
+		counters = countersFromState(&target)
 	}
+	s.port.RestoreCounters(counters)
 	s.attachJournal(j, rs.LastSeq)
 	s.jrnl.path = journalPath
 	s.jrnl.rotate = cfg.journalRot
@@ -180,14 +151,10 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 // configFromInit rebuilds the construction parameters the journal recorded.
 func configFromInit(init journal.Init) config {
 	var cfg config
-	switch init.Port {
-	case "selectmap":
+	// Anything but "selectmap" is Boundary-Scan: "jtag", and "custom" in
+	// journals written before fault hooks replaced substitute port models.
+	if init.Port == "selectmap" {
 		cfg.port = SelectMAP
-	default:
-		// "custom" without a re-supplied factory falls back to the default
-		// Boundary-Scan port: recovery must not fail on a missing closure,
-		// and the accounting is restored from the journal regardless.
-		cfg.port = BoundaryScan
 	}
 	cfg.clockHz = init.ClockHz
 	cfg.appClockHz = init.AppClockHz
@@ -201,7 +168,7 @@ func configFromInit(init journal.Init) config {
 // readback through the configuration port.
 func (s *System) digestsMatch(dirty []journal.FrameDigest, rep *RecoverReport) (bool, error) {
 	for _, d := range dirty {
-		data, err := s.port.ReadFrame(d.Addr)
+		data, err := s.port.Read(bitstream.Recovery, d.Addr)
 		if err != nil {
 			return false, fmt.Errorf("%w: reading frame %v: %v", ErrDeviceMismatch, d.Addr, err)
 		}
@@ -223,7 +190,7 @@ func (s *System) applyUndo(undo []journal.Undo, rep *RecoverReport) error {
 			continue
 		}
 		done[u.Addr] = true
-		cur, err := s.port.ReadFrame(u.Addr)
+		cur, err := s.port.Read(bitstream.Recovery, u.Addr)
 		if err != nil {
 			return fmt.Errorf("%w: reading frame %v: %v", ErrDeviceMismatch, u.Addr, err)
 		}
@@ -233,7 +200,7 @@ func (s *System) applyUndo(undo []journal.Undo, rep *RecoverReport) error {
 		}
 		// The diverged readback is the restore's delta baseline: a compressed
 		// port ships only the runs the interrupted shift actually changed.
-		if err := s.port.WriteUpdates([]bitstream.FrameUpdate{{Addr: u.Addr, Data: u.Words, Prev: cur}}); err != nil {
+		if err := s.port.Write(bitstream.Recovery, []bitstream.FrameUpdate{{Addr: u.Addr, Data: u.Words, Prev: cur}}); err != nil {
 			return fmt.Errorf("rlm: restoring frame %v: %w", u.Addr, err)
 		}
 		rep.FramesRestored++

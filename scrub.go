@@ -33,9 +33,9 @@ type ScrubReport struct {
 // Scrub runs one scrub pass over at most maxFrames frames (0 sweeps the
 // whole device), resuming round-robin where the previous pass stopped. The
 // pass yields — returns with Skipped set — when a background stream is in
-// flight. Scrub transport traffic is compensated out of the port's cycle
-// accounting and reported as Stats.ScrubSeconds, so foreground accounting
-// stays bit-identical to an unscrubbed twin's.
+// flight. Scrub transport traffic is the transport's scrub class, reported
+// as Stats.ScrubSeconds, so foreground accounting stays bit-identical to an
+// unscrubbed twin's.
 func (s *System) Scrub(maxFrames int) (*ScrubReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -55,43 +55,10 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 	if maxFrames <= 0 || maxFrames > len(addrs) {
 		maxFrames = len(addrs)
 	}
-	var changes []*health.Change
-	err := s.compensatePort(&s.engine.Stats.ScrubSeconds, func() error {
-		for i := 0; i < maxFrames; i++ {
-			addr := addrs[s.scrubCursor%len(addrs)]
-			s.scrubCursor = (s.scrubCursor + 1) % len(addrs)
-			if s.quarantined[addr] {
-				continue
-			}
-			want, ok := s.engine.Tool.Shadow().Frame(addr)
-			if !ok {
-				continue
-			}
-			got, err := s.port.ReadFrame(addr)
-			if err != nil {
-				return err
-			}
-			rep.FramesChecked++
-			s.engine.Stats.ScrubChecked++
-			if frameWordsEqual(got, want) {
-				changes = append(changes, s.health.NoteClean(addr.Major))
-				continue
-			}
-			// The diverged readback is the repair's delta baseline: on a
-			// compressed port only the flipped word runs ship.
-			if err := s.port.WriteUpdates([]bitstream.FrameUpdate{{Addr: addr, Data: want, Prev: got}}); err != nil {
-				return err
-			}
-			rep.Repairs = append(rep.Repairs, addr)
-			s.engine.Stats.ScrubRepairs++
-			s.publish(Event{Kind: ScrubRepair, Frame: addr})
-			changes = append(changes, s.health.NoteRepair(addr))
-		}
-		return nil
-	})
-	// Apply tracker decisions outside the compensate window: a preemptive
-	// condemnation evacuates residents, and that traffic is a real foreground
-	// relocation, not scrub overhead.
+	changes, err := s.scrubFramesLocked(addrs, maxFrames, rep)
+	// Apply the tracker's decisions once the pass is over, even one that
+	// failed part-way: a preemptive condemnation evacuates residents with
+	// ordinary foreground relocations.
 	s.applyHealthChangesLocked(changes, true)
 	if err != nil {
 		return rep, err
@@ -100,13 +67,51 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 	return rep, nil
 }
 
+// scrubFramesLocked readback-compares the next maxFrames frames of the
+// round-robin sweep and repairs every diverged one, returning the health
+// tracker's verdicts.
+func (s *System) scrubFramesLocked(addrs []fabric.FrameAddr, maxFrames int, rep *ScrubReport) ([]*health.Change, error) {
+	var changes []*health.Change
+	for i := 0; i < maxFrames; i++ {
+		addr := addrs[s.scrubCursor%len(addrs)]
+		s.scrubCursor = (s.scrubCursor + 1) % len(addrs)
+		if s.quarantined[addr] {
+			continue
+		}
+		want, ok := s.engine.Tool.Shadow().Frame(addr)
+		if !ok {
+			continue
+		}
+		got, err := s.port.Read(bitstream.Scrub, addr)
+		if err != nil {
+			return changes, err
+		}
+		rep.FramesChecked++
+		s.engine.Stats.ScrubChecked++
+		if frameWordsEqual(got, want) {
+			changes = append(changes, s.health.NoteClean(addr.Major))
+			continue
+		}
+		// The diverged readback is the repair's delta baseline: on a
+		// compressed port only the flipped word runs ship.
+		if err := s.port.Write(bitstream.Scrub, []bitstream.FrameUpdate{{Addr: addr, Data: want, Prev: got}}); err != nil {
+			return changes, err
+		}
+		rep.Repairs = append(rep.Repairs, addr)
+		s.engine.Stats.ScrubRepairs++
+		s.publish(Event{Kind: ScrubRepair, Frame: addr})
+		changes = append(changes, s.health.NoteRepair(addr))
+	}
+	return changes, nil
+}
+
 // probeQuarantinedLocked is the release half of the health lifecycle: each
 // quarantined column is exercised with a test pattern (write the bit-inverse
 // of the golden content, read it back, restore golden, read that back), one
 // probe per column per scrub pass. A column that accumulates the policy's
-// streak of clean probes is released into probation. Probe traffic is
-// compensated out of the port accounting as Stats.ProbeSeconds; probes only
-// touch quarantined frames, which carry no live design.
+// streak of clean probes is released into probation. Probe traffic is the
+// transport's probe class, reported as Stats.ProbeSeconds; probes only touch
+// quarantined frames, which carry no live design.
 func (s *System) probeQuarantinedLocked() {
 	if s.health.Policy().ProbesToRelease <= 0 {
 		return
@@ -122,22 +127,19 @@ func (s *System) probeQuarantinedLocked() {
 			continue
 		}
 		clean := true
-		_ = s.compensatePort(&s.engine.Stats.ProbeSeconds, func() error {
-			for minor := 0; minor < col.Frames; minor++ {
-				fa := fabric.FrameAddr{Major: major, Minor: minor}
-				golden, ok := s.engine.Tool.Shadow().Frame(fa)
-				if !ok {
-					continue
-				}
-				if !s.probeFrameLocked(fa, golden) {
-					clean = false
-					s.engine.Stats.ProbeFailures++
-					s.publish(Event{Kind: ProbeFailed, Frame: fa})
-					return nil // one bad frame fails the whole column probe
-				}
+		for minor := 0; minor < col.Frames && clean; minor++ {
+			fa := fabric.FrameAddr{Major: major, Minor: minor}
+			golden, ok := s.engine.Tool.Shadow().Frame(fa)
+			if !ok {
+				continue
 			}
-			return nil
-		})
+			if !s.probeFrameLocked(fa, golden) {
+				// One bad frame fails the whole column probe.
+				clean = false
+				s.engine.Stats.ProbeFailures++
+				s.publish(Event{Kind: ProbeFailed, Frame: fa})
+			}
+		}
 		s.engine.Stats.Probes++
 		changes = append(changes, s.health.NoteProbe(major, clean))
 	}
@@ -161,20 +163,20 @@ func (s *System) probeFrameLocked(fa fabric.FrameAddr, golden []uint32) bool {
 		pattern[i] = ^w
 	}
 	restore := func() { _ = s.dev.WriteFrame(fa.Major, fa.Minor, golden) }
-	// A failed write delivers nothing: the device still holds golden.
-	if err := s.port.WriteUpdates([]bitstream.FrameUpdate{{Addr: fa, Data: pattern}}); err != nil {
+	// A failed write applies nothing: the device still holds golden.
+	if err := s.port.Write(bitstream.Probe, []bitstream.FrameUpdate{{Addr: fa, Data: pattern}}); err != nil {
 		return false
 	}
-	got, err := s.port.ReadFrame(fa)
+	got, err := s.port.Read(bitstream.Probe, fa)
 	if err != nil || !frameWordsEqual(got, pattern) {
 		restore()
 		return false
 	}
-	if err := s.port.WriteUpdates([]bitstream.FrameUpdate{{Addr: fa, Data: golden}}); err != nil {
+	if err := s.port.Write(bitstream.Probe, []bitstream.FrameUpdate{{Addr: fa, Data: golden}}); err != nil {
 		restore()
 		return false
 	}
-	got, err = s.port.ReadFrame(fa)
+	got, err = s.port.Read(bitstream.Probe, fa)
 	if err != nil || !frameWordsEqual(got, golden) {
 		// The restore write itself succeeded; only the readback lies.
 		return false
@@ -240,8 +242,8 @@ func (s *System) startScrubber(interval time.Duration, batch int) {
 
 // Close stops the background scrubber (if one was started), waits for it to
 // exit, and drains the in-flight background configuration stream — including
-// any awaiter goroutine a stall watchdog abandoned — so no goroutine the
-// system spawned outlives it. Safe to call on a system built without
+// one a stall watchdog gave up on — so no goroutine the system spawned
+// outlives it. Safe to call on a system built without
 // WithScrubber, and safe to call more than once. It does not close the
 // journal — the journal's file lifetime follows the process, as before.
 func (s *System) Close() error {

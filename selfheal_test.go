@@ -205,7 +205,7 @@ func TestScrubPreemptiveQuarantineAndProbeRelease(t *testing.T) {
 // TestStallWatchdog covers the watchdog's two modes. Without a retry policy
 // a hung transport surfaces as a typed ErrPortStalled well before the stall
 // clears, and the operation rolls back. With the retry ladder armed, every
-// stall is absorbed by a compensated re-delivery, and the run stays
+// stall is absorbed by a retry-class re-delivery, and the run stays
 // bit-identical to an unstalled twin.
 func TestStallWatchdog(t *testing.T) {
 	t.Run("typed-failure", func(t *testing.T) {
@@ -436,9 +436,9 @@ func TestCloseUnderLoadNoGoroutineLeak(t *testing.T) {
 
 // maskSoakStats additionally zeroes every counter the self-healing layer
 // owns, on top of the fault-layer mask: the chaos soak asserts that all
-// maintenance traffic — retries, scrubs, probes, quarantine churn — is
-// compensated out, leaving the foreground accounting bit-identical to a
-// fault-free twin's.
+// maintenance traffic — retries, scrubs, probes, quarantine churn — stays
+// out of the foreground class, leaving the foreground accounting
+// bit-identical to a fault-free twin's.
 func maskSoakStats(st hostState) hostState {
 	st = maskFaultStats(st)
 	st.stats.RetriesExhausted = 0
@@ -535,7 +535,7 @@ func TestChaosSoakSelfHealing(t *testing.T) {
 func TestChaosSoakCompressed(t *testing.T) {
 	sys := runChaosSoak(t, WithCompression())
 	tr := sys.Traffic()
-	if !sys.Port().(bitstream.CompressPort).Compressed() {
+	if !sys.Port().Compressed() {
 		t.Fatal("port is not in compressed mode")
 	}
 	if tr.WordsShifted == 0 || tr.WordsShifted >= tr.FullWords {

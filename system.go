@@ -46,7 +46,7 @@ type System struct {
 
 	dev    *fabric.Device
 	ctrl   *bitstream.Controller
-	port   bitstream.Port
+	port   *bitstream.Transport
 	engine *relocate.Engine
 	area   *area.Manager
 
@@ -104,7 +104,7 @@ type System struct {
 	crashHook func(stage string)
 
 	subMu   sync.Mutex
-	subs    map[int]chan Event
+	subs    map[int]*subscriber
 	nextSub int
 }
 
@@ -144,42 +144,32 @@ func New(opts ...Option) (*System, error) {
 // newSystem builds a system over an existing device — New's body, shared
 // with the journal-recovery constructor which brings its own device.
 func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
+	switch cfg.portWidth {
+	case 0, 8, 16, 32:
+	default:
+		return nil, fmt.Errorf("rlm: WithPortWidth(%d): width must be 8, 16 or 32", cfg.portWidth)
+	}
 	ctrl := bitstream.NewController(dev)
-	var port bitstream.Port
-	switch {
-	case cfg.portFactory != nil:
-		port = cfg.portFactory(ctrl)
-	case cfg.port == SelectMAP:
+	var port *bitstream.Transport
+	if cfg.port == SelectMAP {
 		hz := cfg.clockHz
 		if hz == 0 {
 			hz = 50e6
 		}
-		port = bitstream.NewParallelPort(ctrl, hz)
-	default:
+		port = bitstream.NewSelectMAP(ctrl, hz, cfg.portWidth)
+	} else {
+		if cfg.portWidth != 0 {
+			return nil, fmt.Errorf("rlm: WithPortWidth requires the SelectMAP port")
+		}
 		hz := cfg.clockHz
 		if hz == 0 {
 			hz = jtag.DefaultTCKHz
 		}
 		port = jtag.NewPort(ctrl, hz)
 	}
-	if cfg.portWidth != 0 {
-		switch cfg.portWidth {
-		case 8, 16, 32:
-		default:
-			return nil, fmt.Errorf("rlm: WithPortWidth(%d): width must be 8, 16 or 32", cfg.portWidth)
-		}
-		pp, ok := port.(*bitstream.ParallelPort)
-		if !ok {
-			return nil, fmt.Errorf("rlm: WithPortWidth requires the SelectMAP port")
-		}
-		pp.WidthBits = cfg.portWidth
-	}
-	if cfg.compress {
-		tp, ok := port.(bitstream.CompressPort)
-		if !ok {
-			return nil, fmt.Errorf("rlm: WithCompression: port %q does not support compressed streams", port.Name())
-		}
-		tp.SetCompress(true)
+	port.SetCompress(cfg.compress)
+	if cfg.faultHook != nil {
+		port.SetHook(cfg.faultHook)
 	}
 	eng, err := relocate.NewEngine(dev, port)
 	if err != nil {
@@ -206,7 +196,7 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		regions: map[string]int{},
 		tmpl:    tmpl,
 		retry:   cfg.retry,
-		subs:    map[int]chan Event{},
+		subs:    map[int]*subscriber{},
 	}
 	hpol := health.Policy{}
 	if cfg.health != nil {
@@ -224,8 +214,8 @@ func (s *System) Device() *fabric.Device { return s.dev }
 // Controller returns the configuration controller behind the port.
 func (s *System) Controller() *bitstream.Controller { return s.ctrl }
 
-// Port returns the configuration port.
-func (s *System) Port() bitstream.Port { return s.port }
+// Port returns the configuration transport.
+func (s *System) Port() *bitstream.Transport { return s.port }
 
 // Engine returns the relocation engine — the designer-level escape hatch
 // for cell-grain operations (RelocateCell, Clock hookup, ablation knobs).
@@ -299,23 +289,24 @@ func (s *System) Map() string {
 	return s.area.String()
 }
 
-// Stats returns the relocation engine statistics.
+// Stats returns the relocation engine statistics, with the maintenance
+// transport time read from the transport's traffic classes.
 func (s *System) Stats() relocate.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.engine.Stats
+	st := s.engine.Stats
+	st.RetrySeconds = s.port.Seconds(bitstream.Retry)
+	st.ScrubSeconds = s.port.Seconds(bitstream.Scrub)
+	st.ProbeSeconds = s.port.Seconds(bitstream.Probe)
+	return st
 }
 
-// Traffic returns the port's configuration write-traffic counters (words
-// actually shifted vs the uncompressed equivalent). Zero-valued on a custom
-// port that does not implement bitstream.CompressPort.
+// Traffic returns the foreground configuration write-traffic counters (words
+// actually shifted vs the uncompressed equivalent).
 func (s *System) Traffic() bitstream.Traffic {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		return tp.Traffic()
-	}
-	return bitstream.Traffic{}
+	return s.port.Traffic()
 }
 
 // Load places a netlist into a region (auto-sized when region is zero),
@@ -800,47 +791,37 @@ func clampStep(d, max int) int {
 
 // Recover restores the device to the tool's shadow copy of the
 // configuration by streaming a full recovery bitstream through the
-// configuration controller — the paper's failure-recovery path ("the
-// program always keeps a complete copy of the current configuration,
-// enabling system recovery in case of failure").
+// configuration port — the paper's failure-recovery path ("the program
+// always keeps a complete copy of the current configuration, enabling system
+// recovery in case of failure").
 func (s *System) Recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.engine.Tool.AwaitStream(); err != nil {
 		return err
 	}
-	words := s.engine.Tool.Shadow().RecoveryBitstream()
-	if err := s.ctrl.Feed(words...); err != nil {
+	if err := s.recoverFullLocked(); err != nil {
+		return err
+	}
+	s.publish(Event{Kind: Recovered})
+	return nil
+}
+
+// recoverFullLocked streams the whole shadow configuration as one
+// recovery-class writing burst, re-syncs the shadow with the device and
+// reports the delivery to the delivered-configuration observer.
+func (s *System) recoverFullLocked() error {
+	updates := s.engine.Tool.Shadow().Updates()
+	if err := s.port.Write(bitstream.Recovery, updates); err != nil {
 		return err
 	}
 	if err := s.engine.Tool.Sync(); err != nil {
 		return err
 	}
-	s.notifyShadowDelivered()
-	s.publish(Event{Kind: Recovered})
+	if s.onDelivered != nil {
+		s.onDelivered(updates)
+	}
 	return nil
-}
-
-// notifyShadowDelivered reports the whole shadow configuration to the
-// delivered-configuration observer after a full recovery bitstream.
-func (s *System) notifyShadowDelivered() {
-	if s.onDelivered == nil {
-		return
-	}
-	var updates []bitstream.FrameUpdate
-	for major := 0; major < s.dev.NumMajors(); major++ {
-		col, ok := s.dev.ColumnByMajor(major)
-		if !ok {
-			continue
-		}
-		for minor := 0; minor < col.Frames; minor++ {
-			addr := fabric.FrameAddr{Major: major, Minor: minor}
-			if data, ok := s.engine.Tool.Shadow().Frame(addr); ok {
-				updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-			}
-		}
-	}
-	s.onDelivered(updates)
 }
 
 // checkpoint captures everything a rollback needs, all of it copy-on-write:
@@ -934,51 +915,28 @@ func (s *System) noteDesignLocked(d *place.Design) {
 
 // restoreLocked rolls the device and all book-keeping back to a checkpoint
 // after a failed operation: the pre-images of exactly the frames the
-// operation dirtied are streamed through the controller (the paper's
-// recovery path, proportional to the change instead of the device), the
+// operation dirtied are streamed through the port as a recovery-class burst
+// once the superseded stream has drained (the paper's recovery path,
+// proportional to the change instead of the device), the
 // area manager rewinds its undo log to the checkpoint's mark, and the host
 // journal replays its inverse ops in reverse. The checkpoint itself stays
 // armed — journal and dirty set emptied, mark kept — so one checkpoint can
 // back several rollbacks; Defragment retries alternative plans against the
 // same one. cause is reported on the event stream.
 func (s *System) restoreLocked(cp *checkpoint, cause error) {
-	// RecoveryWords syncs first, so designer-path writes (a half-placed
-	// design) are part of the dirty set and cannot survive the rollback.
-	words, wordsErr := s.engine.Tool.RecoveryWords(cp.snap)
-	// The recovery stream bypasses the frame tool (it feeds the controller
-	// directly), so the delivered-configuration observer is notified here
-	// with the pre-images about to be restored — before CompleteRestore
-	// drains the snapshot they live in.
-	var restoredFrames []bitstream.FrameUpdate
-	if s.onDelivered != nil && wordsErr == nil && len(words) > 0 {
-		for _, addr := range cp.snap.Frames() {
-			if pre, ok := cp.snap.Preimage(addr); ok {
-				restoredFrames = append(restoredFrames, bitstream.FrameUpdate{Addr: addr, Data: pre})
-			}
-		}
+	// Restore syncs first, so designer-path writes (a half-placed design)
+	// are part of the dirty set and cannot survive the rollback.
+	restored, err := s.engine.Tool.Restore(cp.snap)
+	if err == nil && len(restored) > 0 && s.onDelivered != nil {
+		s.onDelivered(restored)
 	}
-	var feedErr error
-	if wordsErr == nil && len(words) > 0 {
-		feedErr = s.ctrl.Feed(words...)
-		if feedErr == nil && s.onDelivered != nil {
-			s.onDelivered(restoredFrames)
-		}
-	}
-	s.engine.Tool.CompleteRestore(cp.snap)
-	if wordsErr != nil || feedErr != nil {
-		// The partial recovery stream could not be built or delivered.
-		// The shadow now holds the pre-operation state (CompleteRestore
-		// rolled it back host-side), so stream the FULL recovery bitstream
-		// — the paper's belt-and-braces path — and surface the failure on
-		// the event alongside the original cause.
-		recErr := wordsErr
-		if recErr == nil {
-			recErr = feedErr
-		}
-		_ = s.ctrl.Feed(s.engine.Tool.Shadow().RecoveryBitstream()...)
-		_ = s.engine.Tool.Sync()
-		s.notifyShadowDelivered()
-		cause = fmt.Errorf("%w (partial recovery failed, full recovery streamed: %v)", cause, recErr)
+	if err != nil {
+		// The partial recovery stream could not be built or delivered. The
+		// shadow now holds the pre-operation state, so stream the FULL
+		// recovery bitstream — the paper's belt-and-braces path — and
+		// surface the failure on the event alongside the original cause.
+		_ = s.recoverFullLocked()
+		cause = fmt.Errorf("%w (partial recovery failed, full recovery streamed: %v)", cause, err)
 	}
 	// Area and host book-keeping rewind in place: Area() callers (e.g. a
 	// scheduler driving this system) keep a valid pointer across rollbacks.
