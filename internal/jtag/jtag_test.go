@@ -92,6 +92,43 @@ func TestIDCodeReadback(t *testing.T) {
 	}
 }
 
+func TestConfigWriteThroughBoundaryScan(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	p := NewPort(bitstream.NewController(dev), DefaultTCKHz)
+	fw := dev.FrameWords()
+	data := make([]uint32, fw)
+	data[5] = 0xCAFEF00D
+	addr := fabric.FrameAddr{Major: dev.MajorOfArrayCol(4), Minor: 11}
+	if err := p.Write(bitstream.Foreground, []bitstream.FrameUpdate{{Addr: addr, Data: data}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dev.ReadFrame(addr.Major, addr.Minor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[5] != 0xCAFEF00D {
+		t.Errorf("frame word = %#x", got[5])
+	}
+}
+
+func TestReadbackThroughBoundaryScan(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	p := NewPort(bitstream.NewController(dev), DefaultTCKHz)
+	c := fabric.Coord{Row: 3, Col: 2}
+	dev.WriteCell(fabric.CellRef{Coord: c, Cell: 1}, fabric.CellConfig{LUT: 0x5A5A, FF: true})
+	addr := fabric.FrameAddr{Major: dev.MajorOfArrayCol(2), Minor: 0}
+	got, err := p.Read(bitstream.Foreground, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := dev.ReadFrame(addr.Major, addr.Minor)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("readback word %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+}
+
 func TestWriteAtTwentyMHzTakesMilliseconds(t *testing.T) {
 	// Sanity-anchor for the paper's headline: shifting one full CLB column
 	// through Boundary-Scan at 20 MHz costs on the order of milliseconds.
