@@ -228,10 +228,13 @@ func main() {
 		evCancel()
 		<-evDone
 	}
-	st := sys.Stats()
+	// Read the engine and transport directly: -from/-to and -plan relocate
+	// through the engine escape hatch, which the facade's op-boundary
+	// snapshot (Stats, Traffic) does not see.
+	st := sys.Engine().Stats
 	fmt.Printf("totals: cells=%d aux-circuits=%d frames=%d port-time=%.2f ms (%s)\n",
 		st.CellsRelocated, st.AuxCircuits, st.FramesWritten, st.PortSeconds*1e3, sys.Port().Name())
-	tr := sys.Traffic()
+	tr := sys.Port().Traffic()
 	fmt.Printf("traffic: %d words shifted (%d uncompressed, %.2fx), %d frame deliveries\n",
 		tr.WordsShifted, tr.FullWords, tr.CompressionRatio(), tr.FramesDelivered)
 	if ts, ok := sys.TemplateStats(); ok {

@@ -67,7 +67,7 @@ type DefragReport struct {
 // touches nothing.
 func (s *System) Defragment(pol DefragPolicy) (*DefragReport, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if pol.Planner == nil {
 		pol.Planner = rearrange.LocalRepacking{}
 	}

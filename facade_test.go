@@ -3,8 +3,11 @@ package rlm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/itc99"
@@ -124,11 +127,20 @@ func TestMoveStagedRejectsOccupiedCorridor(t *testing.T) {
 }
 
 // TestConcurrentReadsDuringMove runs observers against the facade while a
-// relocation streams; run with -race.
+// live 4x4 design relocates over bit-level Boundary-Scan (about 130 ms of
+// streaming): no reader may wait behind the operation, and every reader
+// reports the last completed operation — the pre-move region while the move
+// runs, the new one once it returns. Run with -race.
 func TestConcurrentReadsDuringMove(t *testing.T) {
-	s := newSys(t)
-	nl := mkCounter("mover")
-	d, err := s.Load(nl, fabric.Rect{Row: 2, Col: 2, H: 1, W: 1})
+	s, err := New(WithDevice(fabric.XCV200), WithPort(BoundaryScan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := itc99.GenConfig{Name: "mover", Inputs: 2, Outputs: 2, Seed: 2, Style: itc99.FreeRunning}
+	nl := itc99.Generate(gen.SizedTo(16*fabric.CellsPerCLB, 0.35))
+	from := fabric.Rect{Row: 4, Col: 8, H: 4, W: 4}
+	to := fabric.Rect{Row: 4, Col: 24, H: 4, W: 4}
+	d, err := s.Load(nl, from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,44 +148,117 @@ func TestConcurrentReadsDuringMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The clock hook runs inside the move, under the system lock: its first
+	// call probes Region from another goroutine, which must answer without
+	// waiting for the move.
+	var probeOnce sync.Once
+	probe := make(chan fabric.Rect, 1)
+	var midRegion fabric.Rect
+	var midErr string
 	rng := uint64(17)
+	in := make([]bool, len(nl.Inputs()))
 	s.Engine().Clock = func(cycles int) error {
+		probeOnce.Do(func() {
+			go func() {
+				r, _ := s.Region(nl.Name)
+				probe <- r
+			}()
+			select {
+			case midRegion = <-probe:
+			case <-time.After(time.Second):
+				midErr = "Region blocked behind the running move"
+			}
+		})
 		for i := 0; i < cycles; i++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			if err := ls.Step([]bool{rng>>40&1 == 1}); err != nil {
+			for k := range in {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				in[k] = rng>>40&1 == 1
+			}
+			if err := ls.Step(in); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+
+	readers := map[string]func(){
+		"Stats":         func() { _ = s.Stats() },
+		"Capacity":      func() { _ = s.Capacity() },
+		"Traffic":       func() { _ = s.Traffic() },
+		"Designs":       func() { _ = s.Designs() },
+		"Region":        func() { _, _ = s.Region(nl.Name) },
+		"Map":           func() { _ = s.Map() },
+		"Health":        func() { _ = s.Health() },
+		"Fragmentation": func() { _ = s.Fragmentation() },
+		"Utilisation":   func() { _ = s.Utilisation() },
+		"Allocation":    func() { _, _ = s.Allocation(nl.Name) },
+		"Design":        func() { _, _ = s.Design(nl.Name) },
+	}
+	var moving atomic.Bool // the sampling window: Move called, not returned
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	lat := make(map[string][]time.Duration, len(readers))
+	var latMu sync.Mutex
+	for name, read := range readers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var own []time.Duration
+			defer func() {
+				latMu.Lock()
+				lat[name] = own
+				latMu.Unlock()
+			}()
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				_ = s.Fragmentation()
-				_ = s.Stats()
-				_ = s.Designs()
-				_, _ = s.Region("mover")
-				_ = s.Utilisation()
+				// Only calls issued while the move runs count.
+				during := moving.Load()
+				t0 := time.Now()
+				read()
+				if during {
+					own = append(own, time.Since(t0))
+				}
+				time.Sleep(50 * time.Microsecond)
 			}
 		}()
 	}
-	err = s.Move("mover", fabric.Rect{Row: 9, Col: 9, H: 1, W: 1})
+	moving.Store(true)
+	err = s.Move(nl.Name, to)
+	moving.Store(false)
 	close(done)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("move: %v", err)
 	}
-	if got, _ := s.Region("mover"); got != (fabric.Rect{Row: 9, Col: 9, H: 1, W: 1}) {
-		t.Errorf("region = %v", got)
+	if midErr != "" {
+		t.Error(midErr)
+	} else if midRegion != from {
+		t.Errorf("Region during the move = %v, want the pre-move %v", midRegion, from)
+	}
+	if got, _ := s.Region(nl.Name); got != to {
+		t.Errorf("Region after the move = %v, want %v", got, to)
+	}
+	if err := ls.CheckState(); err != nil {
+		t.Errorf("lock-step: %v", err)
+	}
+	for name, own := range lat {
+		if len(own) < 20 {
+			t.Errorf("%s: only %d calls completed during the move", name, len(own))
+		}
+		if len(own) == 0 {
+			continue
+		}
+		slices.Sort(own)
+		p99 := own[(len(own)*99+99)/100-1]
+		t.Logf("%s: p99 %v over %d calls", name, p99, len(own))
+		if p99 >= time.Millisecond {
+			t.Errorf("%s: p99 call duration %v during the move (n=%d), want < 1ms", name, p99, len(own))
+		}
 	}
 }
 

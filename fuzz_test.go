@@ -257,6 +257,9 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 				flaky.HealFrames(hurtFrame)
 				persistent = false
 			}
+			// Whatever the op did — succeed, get rejected, roll back,
+			// quarantine — the readers must see exactly its outcome.
+			checkSnapshot(t, sys, fmt.Sprintf("op %d (code %d)", op, code%8))
 		}
 		if seu {
 			// The scrubber's half of the fault model: a silent flip must be
@@ -264,6 +267,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 			if _, err := sys.Scrub(0); err != nil {
 				t.Fatalf("scrub after SEU: %v", err)
 			}
+			checkSnapshot(t, sys, "SEU scrub")
 		}
 		if len(captures) == 0 {
 			return
@@ -321,6 +325,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 		if rs.Tail != nil {
 			t.Fatalf("recovered journal still has an unsealed tail (op %d)", rs.Tail.Begin.Seq)
 		}
+		checkSnapshot(t, rec, "recovery")
 		for _, name := range rec.Designs() {
 			d, ok := rec.Design(name)
 			if !ok {
@@ -336,6 +341,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 		// (region-busy failures are fine) and must leave the journal
 		// replayable either way.
 		_, _ = rec.Load(mkCounter("postfuzz"), fabric.Rect{Row: 0, Col: 0, H: 2, W: 2})
+		checkSnapshot(t, rec, "post-recovery load")
 		if log, err := journal.Scan(path); err != nil {
 			t.Fatalf("journal unscannable after post-recovery op: %v", err)
 		} else if _, err := journal.Replay(log); err != nil {

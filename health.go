@@ -36,21 +36,6 @@ const (
 // DefaultHealthPolicy returns the stock lifecycle thresholds.
 func DefaultHealthPolicy() HealthPolicy { return health.DefaultPolicy() }
 
-// Health returns the per-column health ledger, sorted by column major.
-// Columns that never produced evidence are absent (implicitly healthy).
-func (s *System) Health() []ColumnHealth {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.health.Columns()
-}
-
-// Capacity returns the current logic-space capacity census.
-func (s *System) Capacity() Capacity {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.capacityLocked()
-}
-
 // capacityLocked builds the census: quarantined CLBs are masked out of the
 // area manager; probation columns are in service (and counted healthy).
 func (s *System) capacityLocked() Capacity {

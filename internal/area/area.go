@@ -50,6 +50,7 @@ type Manager struct {
 	allocs     map[int]fabric.Rect
 	next       int
 	quar       []bool // nil until the first Quarantine call
+	version    uint64 // bumped by every write to occ or quar; see Version
 
 	undo  []undoRec
 	marks int // outstanding Mark count; the log records only while > 0
@@ -123,6 +124,7 @@ func (m *Manager) record(kind undoKind, id int, rect fabric.Rect) {
 
 // fill paints a rectangle of the occupancy grid with an allocation id.
 func (m *Manager) fill(rect fabric.Rect, id int) {
+	m.version++
 	for r := rect.Row; r < rect.Row+rect.H; r++ {
 		for c := rect.Col; c < rect.Col+rect.W; c++ {
 			m.occ[m.idx(r, c)] = id
@@ -144,6 +146,12 @@ func NewManager(rows, cols int) *Manager {
 // NewManagerFor sizes the grid to a device.
 func NewManagerFor(dev *fabric.Device) *Manager { return NewManager(dev.Rows, dev.Cols) }
 
+// Version identifies the state of the occupancy grid and the quarantine
+// mask: it changes whenever either may have changed, so a holder of a
+// rendering (String, Fragmentation, ...) can tell whether it is still current
+// without re-deriving it.
+func (m *Manager) Version() uint64 { return m.version }
+
 func (m *Manager) idx(r, c int) int { return r*m.Cols + c }
 
 // blocked reports whether a CLB is quarantined (masked out of the logic
@@ -158,6 +166,7 @@ func (m *Manager) blocked(r, c int) bool { return m.quar != nil && m.quar[m.idx(
 // it; only an explicit Unquarantine (the caller's probe/release cycle)
 // returns capacity to service.
 func (m *Manager) Quarantine(rect fabric.Rect) {
+	m.version++
 	if m.quar == nil {
 		m.quar = make([]bool, m.Rows*m.Cols)
 	}
@@ -178,6 +187,7 @@ func (m *Manager) Unquarantine(rect fabric.Rect) {
 	if m.quar == nil {
 		return
 	}
+	m.version++
 	for r := rect.Row; r < rect.Row+rect.H; r++ {
 		for c := rect.Col; c < rect.Col+rect.W; c++ {
 			if r >= 0 && r < m.Rows && c >= 0 && c < m.Cols {
@@ -508,6 +518,7 @@ func (m *Manager) CopyFrom(src *Manager) {
 		// must be rewound or released first.
 		panic("area: CopyFrom into a manager with outstanding marks")
 	}
+	m.version++
 	copy(m.occ, src.occ)
 	m.allocs = make(map[int]fabric.Rect, len(src.allocs))
 	for id, r := range src.allocs {
@@ -573,6 +584,7 @@ func (m *Manager) Restore(allocs []Alloc, next int) error {
 		}
 		table[a.ID] = r
 	}
+	m.version++
 	m.occ = occ
 	m.allocs = table
 	m.next = next

@@ -1,6 +1,7 @@
 package area
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -149,5 +150,73 @@ func TestCanMoveAllowsOverlapWithoutClone(t *testing.T) {
 	}
 	if m.CanMove(id, fabric.Rect{Row: 0, Col: 0, H: 3, W: 2}) {
 		t.Fatal("shape change should be rejected")
+	}
+}
+
+// TestVersionTracksEveryChange drives random mutations (allocation, free,
+// move, quarantine, rewind, restore, copy) and checks Version is a faithful
+// change detector: whenever the rendering or the quarantine census changes,
+// Version changes too, and reads never move it.
+func TestVersionTracksEveryChange(t *testing.T) {
+	m := NewManager(6, 8)
+	rng := rand.New(rand.NewSource(11))
+	state := func() string { return fmt.Sprint(m.String(), m.QuarantinedCLBs()) }
+	var marks []Mark
+	var saved *Manager // an earlier state to return to
+	prevV, prevS := m.Version(), state()
+	for step := 0; step < 2000; step++ {
+		rect := fabric.Rect{Row: rng.Intn(5), Col: rng.Intn(7), H: 1 + rng.Intn(2), W: 1 + rng.Intn(2)}
+		ids := m.Allocations()
+		switch rng.Intn(9) {
+		case 0, 1:
+			m.Allocate(rect.H, rect.W, FirstFit)
+		case 2:
+			if len(ids) > 0 {
+				_ = m.Free(ids[rng.Intn(len(ids))])
+			}
+		case 3:
+			if len(ids) > 0 {
+				id := ids[rng.Intn(len(ids))]
+				cur, _ := m.Rect(id)
+				rect.H, rect.W = cur.H, cur.W
+				_ = m.Move(id, rect)
+			}
+		case 4:
+			m.Quarantine(rect)
+		case 5:
+			m.Unquarantine(rect)
+		case 6:
+			marks = append(marks, m.Mark())
+		case 7:
+			if n := len(marks); n > 0 {
+				m.Rewind(marks[n-1])
+				m.Release(marks[n-1])
+				marks = marks[:n-1]
+			}
+		case 8:
+			if len(marks) > 0 {
+				continue
+			}
+			// Go back to an earlier state, one way or the other.
+			switch {
+			case saved == nil:
+			case rng.Intn(2) == 0:
+				al, next := saved.Export()
+				_ = m.Restore(al, next)
+			default:
+				m.CopyFrom(saved)
+			}
+			saved = m.Clone()
+		}
+		_, _ = m.FindPlacement(2, 2, BestFit)
+		_ = m.Fragmentation()
+		v, s := m.Version(), state()
+		if s != prevS && v == prevV {
+			t.Fatalf("step %d: grid changed but Version stayed %d", step, v)
+		}
+		if m.Version() != v {
+			t.Fatalf("step %d: a read moved Version", step)
+		}
+		prevV, prevS = v, s
 	}
 }

@@ -92,8 +92,8 @@ func (p *Plan) Ops() int { return len(p.ops) }
 // book-keeping without touching the fabric. The returned error wraps
 // ErrPlanInvalid plus the underlying sentinel for the failing operation.
 func (p *Plan) Validate() error {
-	p.sys.mu.RLock()
-	defer p.sys.mu.RUnlock()
+	p.sys.mu.Lock()
+	defer p.sys.mu.Unlock()
 	return p.sys.validatePlanLocked(p.ops)
 }
 
@@ -109,7 +109,7 @@ func (p *Plan) Validate() error {
 func (p *Plan) Commit() error {
 	s := p.sys
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if err := s.validatePlanLocked(p.ops); err != nil {
 		return err
 	}

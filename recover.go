@@ -144,6 +144,7 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	s.attachJournal(j, rs.LastSeq)
 	s.jrnl.path = journalPath
 	s.jrnl.rotate = cfg.journalRot
+	s.publishLocked()
 	s.startScrubber(cfg.scrubEvery, cfg.scrubBatch)
 	return s, rep, nil
 }

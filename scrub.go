@@ -38,7 +38,7 @@ type ScrubReport struct {
 // unscrubbed twin's.
 func (s *System) Scrub(maxFrames int) (*ScrubReport, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.scrubLocked(maxFrames)
 }
 
@@ -253,8 +253,8 @@ func (s *System) Close() error {
 			<-s.scrubDone
 		}
 		s.mu.Lock()
+		defer s.unlock()
 		s.engine.Tool.HarvestPending()
-		s.mu.Unlock()
 	})
 	return nil
 }

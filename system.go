@@ -17,14 +17,19 @@
 // recovery shadow) if the frame stream fails midway. Multi-operation
 // transactions are built with System.Plan, on-line defragmentation with
 // System.Defragment, and progress is observable through System.Subscribe.
-// A System is safe for concurrent use: readers (Fragmentation, Stats,
-// Designs, ...) may run while a relocation streams.
+// A System is safe for concurrent use. Operations are serialised; as each
+// one ends, whichever way, it publishes an immutable snapshot of what the
+// readers (Stats, Traffic, Capacity, Health, Designs, Region, Map, ...)
+// report. Readers load that snapshot and never wait for a running
+// operation: they see the state as of the last completed one, so a
+// Defragment's Stats appear only once it returns.
 package rlm
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/area"
 	"repro/internal/bitstream"
@@ -42,7 +47,10 @@ import (
 // System is the live reconfigurable platform: device, configuration port,
 // relocation engine, and area management.
 type System struct {
-	mu sync.RWMutex
+	// mu serialises operations. Readers never take it: they load obs, the
+	// snapshot each operation publishes as it releases mu (see unlock).
+	mu  sync.Mutex
+	obs atomic.Pointer[observed]
 
 	dev    *fabric.Device
 	ctrl   *bitstream.Controller
@@ -204,6 +212,7 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 	}
 	sys.health = health.NewTracker(hpol)
 	sys.armRetryLadder()
+	sys.publishLocked()
 	return sys, nil
 }
 
@@ -220,94 +229,16 @@ func (s *System) Port() *bitstream.Transport { return s.port }
 // Engine returns the relocation engine — the designer-level escape hatch
 // for cell-grain operations (RelocateCell, Clock hookup, ablation knobs).
 // Engine calls bypass the System's locking and book-keeping; prefer the
-// System methods for anything the facade covers.
+// System methods for anything the facade covers. Their effect on Stats and
+// Traffic shows up only after the next System operation publishes.
 func (s *System) Engine() *relocate.Engine { return s.engine }
 
-// Area returns the area manager (logic-space book-keeping). It is not
-// synchronised with concurrent System mutations; for a consistent reading
-// use Fragmentation, Utilisation or Map.
+// Area returns the area manager (logic-space book-keeping). It is live and
+// not synchronised with concurrent System operations; Fragmentation,
+// Utilisation and Map give a consistent reading as of the last completed
+// operation, and changes made through Area show up there only after the
+// next System operation.
 func (s *System) Area() *area.Manager { return s.area }
-
-// Designs lists loaded design names.
-func (s *System) Designs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.designs))
-	for name := range s.designs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Design returns a loaded design.
-func (s *System) Design(name string) (*place.Design, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.designs[name]
-	return d, ok
-}
-
-// Region returns the rectangle a design currently occupies.
-func (s *System) Region(name string) (fabric.Rect, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.designs[name]
-	if !ok {
-		return fabric.Rect{}, false
-	}
-	return d.Region, true
-}
-
-// Allocation returns the area-manager allocation id backing a design's
-// region (rearrangement plans are expressed in allocation ids).
-func (s *System) Allocation(name string) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.regions[name]
-	return id, ok
-}
-
-// Fragmentation reports the current logic-space fragmentation.
-func (s *System) Fragmentation() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.area.Fragmentation()
-}
-
-// Utilisation reports the fraction of CLBs allocated.
-func (s *System) Utilisation() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.area.Utilisation()
-}
-
-// Map renders the occupancy grid ('.' free, letters by allocation).
-func (s *System) Map() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.area.String()
-}
-
-// Stats returns the relocation engine statistics, with the maintenance
-// transport time read from the transport's traffic classes.
-func (s *System) Stats() relocate.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := s.engine.Stats
-	st.RetrySeconds = s.port.Seconds(bitstream.Retry)
-	st.ScrubSeconds = s.port.Seconds(bitstream.Scrub)
-	st.ProbeSeconds = s.port.Seconds(bitstream.Probe)
-	return st
-}
-
-// Traffic returns the foreground configuration write-traffic counters (words
-// actually shifted vs the uncompressed equivalent).
-func (s *System) Traffic() bitstream.Traffic {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.port.Traffic()
-}
 
 // Load places a netlist into a region (auto-sized when region is zero),
 // registers it with the area manager and checkpoints the recovery shadow.
@@ -315,7 +246,7 @@ func (s *System) Traffic() bitstream.Traffic {
 // are restored to their pre-call state.
 func (s *System) Load(nl *netlist.Netlist, region fabric.Rect) (*place.Design, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.loadLocked(nl, region)
 }
 
@@ -470,7 +401,7 @@ func (s *System) findRegionLocked(nl *netlist.Netlist) (fabric.Rect, bool) {
 // pre-call state.
 func (s *System) Unload(name string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if _, ok := s.designs[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
 	}
@@ -584,7 +515,7 @@ func (s *System) rebuildRouterLocked() {
 // frame is streamed; a mid-stream failure rolls everything back.
 func (s *System) Move(name string, to fabric.Rect) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.moveLocked(name, to)
 }
 
@@ -710,7 +641,7 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 // every intermediate region must be free.
 func (s *System) MoveStaged(name string, to fabric.Rect, maxStep int) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.moveStagedLocked(name, to, maxStep)
 }
 
@@ -796,7 +727,7 @@ func clampStep(d, max int) int {
 // recovery in case of failure").
 func (s *System) Recover() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if err := s.engine.Tool.AwaitStream(); err != nil {
 		return err
 	}
