@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline cover lint fuzz torture soak
+.PHONY: test race bench bench-baseline cover lint fuzz torture soak loc
 
 test:
 	go build ./... && go test ./...
@@ -61,3 +61,9 @@ cover:
 	@go tool cover -func=cover.out | tail -1
 	@total=$$(go tool cover -func=cover.out | tail -1 | awk '{print substr($$3, 1, length($$3)-1)}'); \
 	awk -v t="$$total" 'BEGIN { if (t + 0 < 75.0) { print "coverage " t "% is below the 75% floor"; exit 1 } }'
+
+# Non-test and test Go line counts over the tracked files: the figure each
+# change reports its net non-test LOC against (stage new files first).
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test     $$(git ls-files '*_test.go' | xargs cat | wc -l)"

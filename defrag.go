@@ -100,45 +100,48 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 		return rep, nil
 	}
 	byID := s.namesByAllocationLocked()
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return nil, err
-	}
-	defer s.releaseCheckpointLocked(snap)
 	// One journal op spans every candidate: a rolled-back candidate's undo
 	// records stay valid (its rollback restores the checkpoint state the
 	// pre-images were taken against), so a crash anywhere in the retry loop
-	// rolls back to the pre-pass configuration.
-	if err := s.journalBeginLocked(snap, "defrag-need", "", fabric.Rect{H: pol.NeedH, W: pol.NeedW},
-		fmt.Sprintf("planner=%s", pol.Planner.Name())); err != nil {
-		return nil, err
+	// rolls back to the pre-pass configuration. A failed candidate is rolled
+	// back here, against the runner's checkpoint, before the next is tried;
+	// the last one's error goes to the runner, whose rollback is the final
+	// one.
+	var won *rearrange.Plan
+	cells0 := 0
+	err := s.transact("defrag-need", "", fabric.Rect{H: pol.NeedH, W: pol.NeedW},
+		fmt.Sprintf("planner=%s", pol.Planner.Name()), func() error {
+			cp := s.cps[len(s.cps)-1] // the runner's checkpoint, innermost while body runs
+			var err error
+			for _, plan := range candidates {
+				if err != nil {
+					s.restoreLocked(cp, err)
+				}
+				rep.Attempts++
+				s.publish(Event{Kind: RearrangeStarted, Steps: len(plan.Steps)})
+				cells0 = s.engine.Stats.CellsRelocated
+				rep.Moves = rep.Moves[:0]
+				rep.CLBsMoved = 0
+				err = s.executeDefragPlanLocked(plan, byID, pol.MaxStep, rep)
+				if err == nil {
+					err = s.harvestLocked() // harvest before accepting the candidate
+				}
+				if err == nil {
+					won = plan
+					return nil
+				}
+			}
+			return err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("rlm: all %d rearrangement plans failed physically, last: %w",
+			rep.Attempts, err)
 	}
-	var lastErr error
-	for _, plan := range candidates {
-		rep.Attempts++
-		s.publish(Event{Kind: RearrangeStarted, Steps: len(plan.Steps)})
-		cells0 := s.engine.Stats.CellsRelocated
-		rep.Moves = rep.Moves[:0]
-		rep.CLBsMoved = 0
-		err := s.executeDefragPlanLocked(plan, byID, pol.MaxStep, rep)
-		if err == nil {
-			err = s.finishOpLocked(snap) // harvest before accepting the candidate
-		}
-		if err != nil {
-			s.restoreLocked(snap, err)
-			lastErr = err
-			continue
-		}
-		rep.Freed = plan.Target
-		rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
-		rep.FragAfter = s.area.Fragmentation()
-		s.publish(Event{Kind: RearrangeFinished, Steps: len(plan.Steps), CLBs: rep.CellsRelocated})
-		return rep, nil
-	}
-	s.journalAbortLocked()
-	s.quarantineSweepLocked()
-	return nil, fmt.Errorf("rlm: all %d rearrangement plans failed physically, last: %w",
-		rep.Attempts, lastErr)
+	rep.Freed = won.Target
+	rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
+	rep.FragAfter = s.area.Fragmentation()
+	s.publish(Event{Kind: RearrangeFinished, Steps: len(won.Steps), CLBs: rep.CellsRelocated})
+	return rep, nil
 }
 
 // defragCompactLocked slides every design west/north best-effort. Each
@@ -179,33 +182,25 @@ func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 			continue
 		}
 		from := s.designs[name].Region
-		snap, err := s.checkpointLocked()
-		if err != nil {
-			return nil, err
-		}
-		// Each slide is its own journal op: a completed slide must never be
-		// rolled back (see above), so it seals individually.
-		if err := s.journalBeginLocked(snap, "defrag-slide", name, st.To, ""); err != nil {
-			s.releaseCheckpointLocked(snap)
-			return nil, err
-		}
-		slideErr := s.defragStepLocked(name, st.To, pol.MaxStep)
-		if slideErr == nil {
-			// Each slide owns its checkpoint, so its stream is harvested
-			// before the checkpoint is released (a later harvest could not
-			// roll the slide back any more).
-			slideErr = s.finishOpLocked(snap)
-		}
-		if slideErr != nil {
+		// Each slide is its own runner call: a completed slide must never be
+		// rolled back (see above), so it harvests and seals individually.
+		started := false
+		err := s.transact("defrag-slide", name, st.To, "", func() error {
+			started = true
+			if err := s.defragStepLocked(name, st.To, pol.MaxStep); err != nil {
+				return fmt.Errorf("rlm: compaction slide %s -> %v: %w", name, st.To, err)
+			}
+			return nil
+		})
+		switch {
+		case !started:
+			return nil, err // no checkpoint or no durable intent: fail the pass
+		case err != nil:
 			rep.Attempts++
-			s.restoreLocked(snap, fmt.Errorf("rlm: compaction slide %s -> %v: %w", name, st.To, slideErr))
-			s.journalAbortLocked()
-			s.quarantineSweepLocked()
-		} else {
+		default:
 			rep.Moves = append(rep.Moves, DesignMove{Design: name, From: from, To: st.To})
 			rep.CLBsMoved += from.Area()
 		}
-		s.releaseCheckpointLocked(snap)
 	}
 	rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
 	rep.Freed = s.area.MaxFreeRect()
@@ -248,15 +243,9 @@ func (s *System) executeDefragPlanLocked(plan *rearrange.Plan, byID map[int]stri
 // defragStepLocked executes one planned design move, staged when the
 // policy asks for it and the hop corridor is free, direct otherwise.
 func (s *System) defragStepLocked(name string, to fabric.Rect, maxStep int) error {
-	d := s.designs[name]
 	if maxStep > 0 {
-		if hops, err := s.stagedHopsLocked(name, d.Region, to, maxStep); err == nil {
-			for _, next := range hops {
-				if err := s.moveRaw(name, next); err != nil {
-					return err
-				}
-			}
-			return nil
+		if hops, err := s.stagedHopsLocked(name, s.designs[name].Region, to, maxStep); err == nil {
+			return s.moveHopsLocked(name, hops)
 		}
 	}
 	return s.moveRaw(name, to)

@@ -60,42 +60,14 @@ func (s *System) armRetryLadder() {
 	s.engine.Tool.Retry = s.retryDeliveryLocked
 }
 
-// finishOpLocked is the success epilogue shared by every journaled facade
-// operation: harvest the batched stream (the retry ladder fires inside the
-// await when armed), then seal the commit. The caller rolls back and seals
-// an abort when it returns an error.
-func (s *System) finishOpLocked(cp *checkpoint) error {
-	if err := s.engine.Tool.Flush(); err != nil {
-		return err
-	}
-	if err := s.engine.Tool.AwaitStream(); err != nil {
-		return err
-	}
-	return s.journalCommitLocked()
-}
-
-// finishLoadLocked is Load's epilogue. Without a journal and without a
-// retry policy, Load keeps the two-stage commit pipeline: the burst goes on
-// shifting out in the background after Load returns, and a stale transport
-// error surfaces at the next operation's drain — safe under write-through
-// staging, and the overlap is the pipeline's point. With either armed the
-// op needs a harvest point of its own (the journal's commit barrier, or a
-// fault boundary the ladder can own), so it finishes like every other.
-func (s *System) finishLoadLocked(cp *checkpoint) error {
-	if s.jrnl == nil && (s.retry == nil || s.retry.MaxRetries <= 0) {
-		return nil
-	}
-	return s.finishOpLocked(cp)
-}
-
 // retryDeliveryLocked is the bounded re-delivery ladder, installed as the
 // frame tool's Retry delegate: cause surfaced at an AwaitStream and addrs is
 // the unharvested frame set. It runs under the operation's lock (every tool
 // call path holds it). On success the operation proceeds as if the fault
 // never happened (the retry traffic is the transport's retry class, never
 // foreground). On exhaustion a final readback-verify condemns the frames
-// that still fail, parks them in s.pendingBad for the failed operation's
-// post-rollback quarantine sweep, and the returned error wraps
+// that still fail, parks them in s.pendingBad for the operation's
+// quarantine sweep (after its rollback), and the returned error wraps
 // ErrRetriesExhausted.
 func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) error {
 	pol := *s.retry
@@ -211,10 +183,10 @@ func (s *System) verifyFrames(updates []bitstream.FrameUpdate) ([]fabric.FrameAd
 	return nil, nil
 }
 
-// quarantineSweepLocked consumes the verified-bad frames a failed operation
-// left in s.pendingBad — after its rollback and abort seal, so the sweep's
-// own journaled operations (evacuations) open on a sealed journal. No-op
-// when nothing is pending.
+// quarantineSweepLocked consumes the verified-bad frames an operation left
+// in s.pendingBad. transact runs it after the operation's commit or abort
+// seal, so the sweep's own journaled operations (evacuations) open on a
+// sealed journal. No-op when nothing is pending.
 func (s *System) quarantineSweepLocked() {
 	bad := s.pendingBad
 	s.pendingBad = nil
@@ -279,12 +251,12 @@ func (s *System) quarantineFramesLocked(bad []fabric.FrameAddr, record bool) boo
 // evacuateLocked relocates every design whose region now overlaps
 // quarantined logic space to healthy space, best-effort and in name order.
 // Each evacuation is its own journaled operation; a fault during one engages
-// the ladder like any other delivery, but a failed evacuation never sweeps
-// again from its own error path (sweeps run only from top-level operation
-// epilogues), so the quarantine cannot recurse. A design with no healthy
-// placement stays where it is (its configuration is still host-coherent;
-// only its physical substrate is suspect), which the caller's event stream
-// makes observable.
+// the ladder like any other delivery, but an evacuation never sweeps (the
+// runner's no-recursion policy, see transact), so the quarantine cannot
+// recurse: frames a failed evacuation condemns wait for the next top-level
+// operation's sweep. A design with no healthy placement stays where it is
+// (its configuration is still host-coherent; only its physical substrate is
+// suspect), which the caller's event stream makes observable.
 func (s *System) evacuateLocked() {
 	names := make([]string, 0, len(s.designs))
 	for name := range s.designs {
@@ -301,38 +273,9 @@ func (s *System) evacuateLocked() {
 		if !ok {
 			continue
 		}
-		if err := s.evacuateOneLocked(name, to); err == nil {
+		if err := s.transact("evacuate", name, to, "", func() error { return s.moveRaw(name, to) }); err == nil {
 			s.engine.Stats.DesignsEvacuated++
 			s.publish(Event{Kind: DesignEvacuated, Design: name, From: from, Region: to})
 		}
 	}
-}
-
-// evacuateOneLocked performs one evacuation move as a self-contained
-// journaled operation.
-func (s *System) evacuateOneLocked(name string, to fabric.Rect) error {
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "evacuate", name, to, ""); err != nil {
-		return err
-	}
-	err = s.moveRaw(name, to)
-	if err == nil {
-		err = s.engine.Tool.Flush()
-	}
-	if err == nil {
-		err = s.engine.Tool.AwaitStream()
-	}
-	if err == nil {
-		err = s.journalCommitLocked()
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		return err
-	}
-	return nil
 }

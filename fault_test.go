@@ -120,80 +120,100 @@ func condemnColumns(t *testing.T, dev *fabric.Device, flaky *faultport.Hook, col
 // a persistent per-frame write failure survives every retry, the operation
 // fails typed (ErrRetriesExhausted) and rolls back, the condemned columns
 // are quarantined out of the logic space, and the design resident on them
-// is evacuated to healthy space — after which explicit placement into the
-// condemned columns is refused (ErrQuarantined) and auto-placement avoids
-// them.
+// is evacuated to healthy space — whichever operation hit the fault. One
+// row per operation that can stream into the condemned columns; the Move
+// row then checks that explicit placement into the condemned columns is
+// refused (ErrQuarantined) and auto-placement avoids them.
 func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
-	sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
 	home := fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}
-	if _, err := sys.Load(mkCounter("vic"), home); err != nil {
-		t.Fatal(err)
+	away := fabric.Rect{Row: 4, Col: 0, H: 2, W: 2}
+	ops := []struct {
+		name string
+		run  func(*System) error
+	}{
+		{"Move", func(s *System) error { return s.Move("vic", away) }},
+		{"MoveStaged", func(s *System) error { return s.MoveStaged("vic", away, 1) }},
+		{"PlanMove", func(s *System) error { return s.Plan().Move("vic", away).Commit() }},
+		{"Unload", func(s *System) error { return s.Unload("vic") }},
 	}
-	events, cancel := sys.Subscribe(256)
-	defer cancel()
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
+			if _, err := sys.Load(mkCounter("vic"), home); err != nil {
+				t.Fatal(err)
+			}
+			events, cancel := sys.Subscribe(256)
+			defer cancel()
 
-	condemned := condemnColumns(t, sys.Device(), flaky, 0, 1)
-	err := sys.Move("vic", fabric.Rect{Row: 4, Col: 0, H: 2, W: 2})
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("move across condemned columns: %v, want ErrRetriesExhausted", err)
-	}
+			condemned := condemnColumns(t, sys.Device(), flaky, 0, 1)
+			if err := op.run(sys); !errors.Is(err, ErrRetriesExhausted) {
+				t.Fatalf("%s across condemned columns: %v, want ErrRetriesExhausted", op.name, err)
+			}
+			st := sys.Stats()
+			if st.RetriesExhausted != 1 || st.FaultsDetected == 0 {
+				t.Fatalf("ladder counters: %+v", st)
+			}
+			if st.FramesQuarantined != condemned {
+				t.Fatalf("FramesQuarantined = %d, want %d (both columns, whole)", st.FramesQuarantined, condemned)
+			}
+			if st.DesignsEvacuated != 1 {
+				t.Fatalf("DesignsEvacuated = %d, want 1", st.DesignsEvacuated)
+			}
+			if n := len(sys.pendingBad); n != 0 {
+				t.Fatalf("%d condemned frame(s) left unswept in pendingBad", n)
+			}
+			if op.name != "Move" {
+				return
+			}
 
-	st := sys.Stats()
-	if st.RetriesExhausted != 1 || st.FaultsDetected == 0 {
-		t.Fatalf("ladder counters: %+v", st)
-	}
-	if st.FramesQuarantined != condemned {
-		t.Fatalf("FramesQuarantined = %d, want %d (both columns, whole)", st.FramesQuarantined, condemned)
-	}
-	if st.DesignsEvacuated != 1 {
-		t.Fatalf("DesignsEvacuated = %d, want 1", st.DesignsEvacuated)
-	}
-	if !sys.Area().QuarantineOverlaps(home) {
-		t.Fatal("condemned columns not quarantined in the area manager")
-	}
-	region, ok := sys.Region("vic")
-	if !ok {
-		t.Fatal("design lost by the evacuation")
-	}
-	if sys.Area().QuarantineOverlaps(region) {
-		t.Fatalf("design evacuated onto quarantined space: %v", region)
-	}
+			if !sys.Area().QuarantineOverlaps(home) {
+				t.Fatal("condemned columns not quarantined in the area manager")
+			}
+			region, ok := sys.Region("vic")
+			if !ok {
+				t.Fatal("design lost by the evacuation")
+			}
+			if sys.Area().QuarantineOverlaps(region) {
+				t.Fatalf("design evacuated onto quarantined space: %v", region)
+			}
 
-	cancel()
-	saw := map[EventKind]int{}
-	var evac Event
-	for e := range events {
-		saw[e.Kind]++
-		if e.Kind == DesignEvacuated {
-			evac = e
-		}
-	}
-	for _, k := range []EventKind{FaultDetected, RetriesExhausted, FrameQuarantined, DesignEvacuated} {
-		if saw[k] == 0 {
-			t.Errorf("event %v never published (saw %v)", k, saw)
-		}
-	}
-	if evac.Design != "vic" || evac.Region != region {
-		t.Errorf("DesignEvacuated = %+v, want vic -> %v", evac, region)
-	}
+			cancel()
+			saw := map[EventKind]int{}
+			var evac Event
+			for e := range events {
+				saw[e.Kind]++
+				if e.Kind == DesignEvacuated {
+					evac = e
+				}
+			}
+			for _, k := range []EventKind{FaultDetected, RetriesExhausted, FrameQuarantined, DesignEvacuated} {
+				if saw[k] == 0 {
+					t.Errorf("event %v never published (saw %v)", k, saw)
+				}
+			}
+			if evac.Design != "vic" || evac.Region != region {
+				t.Errorf("DesignEvacuated = %+v, want vic -> %v", evac, region)
+			}
 
-	// Explicit placement into the condemned columns is refused before any
-	// frame streams; a busy-region error would be misleading (the space can
-	// never free up).
-	if _, err := sys.Load(mkCounter("x"), fabric.Rect{Row: 6, Col: 0, H: 2, W: 2}); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("load into quarantined columns: %v, want ErrQuarantined", err)
-	}
-	// Auto-placement must route around the mask.
-	d, err := sys.Load(mkCounter("auto"), fabric.Rect{})
-	if err != nil {
-		t.Fatalf("auto-placed load after quarantine: %v", err)
-	}
-	if sys.Area().QuarantineOverlaps(d.Region) {
-		t.Fatalf("auto-placement chose quarantined space: %v", d.Region)
-	}
-	// The evacuated design is still live: it moves on healthy fabric.
-	if err := sys.Move("vic", fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
-		t.Fatalf("post-evacuation move: %v", err)
+			// Explicit placement into the condemned columns is refused
+			// before any frame streams; a busy-region error would be
+			// misleading (the space can never free up).
+			if _, err := sys.Load(mkCounter("x"), fabric.Rect{Row: 6, Col: 0, H: 2, W: 2}); !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("load into quarantined columns: %v, want ErrQuarantined", err)
+			}
+			// Auto-placement must route around the mask.
+			d, err := sys.Load(mkCounter("auto"), fabric.Rect{})
+			if err != nil {
+				t.Fatalf("auto-placed load after quarantine: %v", err)
+			}
+			if sys.Area().QuarantineOverlaps(d.Region) {
+				t.Fatalf("auto-placement chose quarantined space: %v", d.Region)
+			}
+			// The evacuated design is still live: it moves on healthy fabric.
+			if err := sys.Move("vic", fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
+				t.Fatalf("post-evacuation move: %v", err)
+			}
+		})
 	}
 }
 

@@ -134,7 +134,7 @@ func (s *System) releaseColumnLocked(major int, record bool) {
 
 // journalHealthLocked seals the current health/quarantine state into the
 // journal as a standalone committed mini-operation. Health transitions
-// driven by the scrubber or a post-abort sweep happen outside any journaled
+// driven by the scrubber or a quarantine sweep happen outside any journaled
 // operation, and until now were only persisted by the NEXT committed op's
 // Post record — a crash in between would recover a stale mask. The mini-op
 // closes that window: Begin("health") + Post(full state) + Commit, with no
@@ -145,15 +145,5 @@ func (s *System) journalHealthLocked() {
 	if js == nil || js.active || s.restoring {
 		return
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "health", "", fabric.Rect{}, ""); err != nil {
-		return
-	}
-	if err := s.journalCommitLocked(); err != nil {
-		s.journalAbortLocked()
-	}
+	_ = s.transact("health", "", fabric.Rect{}, "", func() error { return nil })
 }

@@ -150,22 +150,16 @@ func (s *System) journalBeginLocked(cp *checkpoint, op, design string, region fa
 	return nil
 }
 
-// journalCommitLocked seals the active operation as committed: any straggler
-// frames flush (their undo records journal through the barrier), the stream
-// drains, then the full post-operation state and the dirty-frame digests
-// land, then the commit seal. An error leaves the operation unsealed; the
-// caller rolls back physically and seals with journalAbortLocked, keeping
-// journal and fabric in agreement.
+// journalCommitLocked seals the active operation as committed: the full
+// post-operation state and the dirty-frame digests land, then the commit
+// seal. The caller (transact) has harvested the stream already, so every
+// frame is delivered and its undo record journaled. An error leaves the
+// operation unsealed; the caller rolls back physically and seals with
+// journalAbortLocked, keeping journal and fabric in agreement.
 func (s *System) journalCommitLocked() error {
 	js := s.jrnl
 	if js == nil || !js.active {
 		return nil
-	}
-	if err := s.engine.Tool.Flush(); err != nil {
-		return err
-	}
-	if err := s.engine.Tool.AwaitStream(); err != nil {
-		return err
 	}
 	state := s.journalStateLocked()
 	state.Seq = js.seq

@@ -113,36 +113,20 @@ func (p *Plan) Commit() error {
 	if err := s.validatePlanLocked(p.ops); err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "plan", "", fabric.Rect{}, p.describe()); err != nil {
-		return err
-	}
-	execErr := s.engine.Tool.InBatch(func() error {
-		for i, op := range p.ops {
-			if err := s.executeOpLocked(op); err != nil {
-				return fmt.Errorf("rlm: plan op %d (%s): %w", i, op, err)
+	// The runner harvests the pipelined shift-out before the commit is
+	// declared done: ops overlapped their planning with earlier ops'
+	// streams, and a transport failure anywhere in the plan fails the whole
+	// transaction — unless the retry ladder re-delivers it.
+	return s.transact("plan", "", fabric.Rect{}, p.describe(), func() error {
+		return s.engine.Tool.InBatch(func() error {
+			for i, op := range p.ops {
+				if err := s.executeOpLocked(op); err != nil {
+					return fmt.Errorf("rlm: plan op %d (%s): %w", i, op, err)
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
-	if execErr == nil {
-		// Harvest the pipelined shift-out before the commit is declared
-		// done: ops overlapped their planning with earlier ops' streams,
-		// and a transport failure anywhere in the plan fails the whole
-		// transaction — unless the retry ladder re-delivers it.
-		execErr = s.finishOpLocked(snap)
-	}
-	if execErr != nil {
-		s.restoreLocked(snap, execErr)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return execErr
-	}
-	return nil
 }
 
 // describe renders the op list for the journal's intent record.
@@ -174,20 +158,11 @@ func (s *System) executeOpLocked(op planOp) error {
 		}
 		return s.moveRaw(op.name, op.region)
 	case opMoveStaged:
-		d, ok := s.designs[op.name]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownDesign, op.name)
-		}
-		hops, err := s.stagedHopsLocked(op.name, d.Region, op.region, op.maxStep)
+		hops, err := s.checkMoveStagedLocked(op.name, op.region, op.maxStep)
 		if err != nil {
 			return err
 		}
-		for _, next := range hops {
-			if err := s.moveRaw(op.name, next); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.moveHopsLocked(op.name, hops)
 	}
 	return fmt.Errorf("rlm: unknown plan op")
 }

@@ -53,7 +53,6 @@ type System struct {
 	obs atomic.Pointer[observed]
 
 	dev    *fabric.Device
-	ctrl   *bitstream.Controller
 	port   *bitstream.Transport
 	engine *relocate.Engine
 	area   *area.Manager
@@ -93,7 +92,7 @@ type System struct {
 	// lifecycle's probe/release cycle (if armed) revives the column.
 	quarantined map[fabric.FrameAddr]bool
 	// pendingBad holds frames the retry ladder's final verify condemned,
-	// consumed by quarantineSweepLocked after the failed op rolls back.
+	// consumed by the quarantine sweep at the end of the op (see transact).
 	pendingBad []fabric.FrameAddr
 
 	// Scrubber state (see scrub.go): the cached frame address space, the
@@ -194,7 +193,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 	}
 	sys := &System{
 		dev:     dev,
-		ctrl:    ctrl,
 		port:    port,
 		engine:  eng,
 		area:    area.NewManagerFor(dev),
@@ -219,9 +217,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 // Device returns the simulated device. The returned object is shared with
 // the engine and any running simulations; treat it as read-mostly.
 func (s *System) Device() *fabric.Device { return s.dev }
-
-// Controller returns the configuration controller behind the port.
-func (s *System) Controller() *bitstream.Controller { return s.ctrl }
 
 // Port returns the configuration transport.
 func (s *System) Port() *bitstream.Transport { return s.port }
@@ -255,48 +250,29 @@ func (s *System) loadLocked(nl *netlist.Netlist, region fabric.Rect) (*place.Des
 	if err != nil {
 		return nil, err
 	}
-	// Checkpoint so a partial placement (pads and cells are written before
-	// routing can still fail) never leaks onto the fabric.
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return nil, err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "load", nl.Name, region, ""); err != nil {
-		return nil, err
-	}
-	if s.tmpl != nil {
-		d, handled, err := s.tryWarmLoadLocked(nl, region)
-		if err != nil {
-			s.restoreLocked(snap, err)
-			s.journalAbortLocked()
-			return nil, err
-		}
-		if handled {
-			if err := s.finishLoadLocked(snap); err != nil {
-				s.restoreLocked(snap, err)
-				s.journalAbortLocked()
-				s.quarantineSweepLocked()
-				return nil, err
+	// The runner's checkpoint keeps a partial placement (pads and cells are
+	// written before routing can still fail) off the fabric.
+	var d *place.Design
+	err = s.transact("load", nl.Name, region, "", func() error {
+		if s.tmpl != nil {
+			warm, handled, err := s.tryWarmLoadLocked(nl, region)
+			if err != nil || handled {
+				d = warm
+				return err
 			}
-			return d, nil
+			// Cache miss (or clean pre-write fallback): cold path below.
 		}
-		// Cache miss (or clean pre-write fallback): cold path below.
-	}
-	d, err := s.loadRaw(nl, region)
+		cold, err := s.loadRaw(nl, region)
+		if err != nil {
+			return err
+		}
+		if s.tmpl != nil {
+			s.captureTemplateLocked(cold)
+		}
+		d = cold
+		return nil
+	})
 	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return nil, err
-	}
-	if s.tmpl != nil {
-		s.captureTemplateLocked(d)
-	}
-	if err := s.finishLoadLocked(snap); err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
 		return nil, err
 	}
 	return d, nil
@@ -405,25 +381,8 @@ func (s *System) Unload(name string) error {
 	if _, ok := s.designs[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
 	}
-	snap, err := s.checkpointLocked()
+	err := s.transact("unload", name, s.designs[name].Region, "", func() error { return s.unloadRaw(name) })
 	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "unload", name, s.designs[name].Region, ""); err != nil {
-		return err
-	}
-	err = s.unloadRaw(name)
-	if err == nil {
-		// Harvest the batched stream before the checkpoint closes: a
-		// transport failure of the background shift-out belongs to this
-		// operation — the retry ladder engages here when armed.
-		err = s.finishOpLocked(snap)
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
 		return fmt.Errorf("rlm: unloading %q: %w", name, err)
 	}
 	return nil
@@ -523,35 +482,26 @@ func (s *System) moveLocked(name string, to fabric.Rect) error {
 	if err := s.checkMoveLocked(name, to); err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "move", name, to, ""); err != nil {
-		return err
-	}
-	err = s.moveRaw(name, to)
-	if err == nil {
-		err = s.finishOpLocked(snap) // harvest before the checkpoint closes
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return err
-	}
-	return nil
+	return s.transact("move", name, to, "", func() error { return s.moveRaw(name, to) })
 }
 
-// checkMoveLocked validates a move without touching anything.
-func (s *System) checkMoveLocked(name string, to fabric.Rect) error {
+// checkShapeLocked is the validation every kind of move shares: the design
+// exists and the target has its shape.
+func (s *System) checkShapeLocked(name string, to fabric.Rect) (*place.Design, error) {
 	d, ok := s.designs[name]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDesign, name)
 	}
 	if to.H != d.Region.H || to.W != d.Region.W {
-		return fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, to, d.Region)
+		return nil, fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, to, d.Region)
+	}
+	return d, nil
+}
+
+// checkMoveLocked validates a direct move without touching anything.
+func (s *System) checkMoveLocked(name string, to fabric.Rect) error {
+	if _, err := s.checkShapeLocked(name, to); err != nil {
+		return err
 	}
 	if !s.area.CanMove(s.regions[name], to) {
 		if s.area.QuarantineOverlaps(to) {
@@ -646,39 +596,32 @@ func (s *System) MoveStaged(name string, to fabric.Rect, maxStep int) error {
 }
 
 func (s *System) moveStagedLocked(name string, to fabric.Rect, maxStep int) error {
-	d, ok := s.designs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
-	}
-	if to.H != d.Region.H || to.W != d.Region.W {
-		return fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, to, d.Region)
-	}
-	hops, err := s.stagedHopsLocked(name, d.Region, to, maxStep)
+	hops, err := s.checkMoveStagedLocked(name, to, maxStep)
 	if err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
+	return s.transact("move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep), func() error {
+		return s.moveHopsLocked(name, hops)
+	})
+}
+
+// checkMoveStagedLocked validates a staged move without touching anything,
+// returning its hop sequence.
+func (s *System) checkMoveStagedLocked(name string, to fabric.Rect, maxStep int) ([]fabric.Rect, error) {
+	d, err := s.checkShapeLocked(name, to)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep)); err != nil {
-		return err
-	}
+	return s.stagedHopsLocked(name, d.Region, to, maxStep)
+}
+
+// moveHopsLocked relocates a design through a validated hop sequence; the
+// caller owns rollback.
+func (s *System) moveHopsLocked(name string, hops []fabric.Rect) error {
 	for _, next := range hops {
 		if err := s.moveRaw(name, next); err != nil {
-			err = fmt.Errorf("rlm: staged move via %v: %w", next, err)
-			s.restoreLocked(snap, err)
-			s.journalAbortLocked()
-			return err
+			return fmt.Errorf("rlm: staged move via %v: %w", next, err)
 		}
-	}
-	err = s.finishOpLocked(snap)
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return err
 	}
 	return nil
 }
@@ -755,6 +698,65 @@ func (s *System) recoverFullLocked() error {
 	return nil
 }
 
+// transact runs body as one journaled operation. It is the only code that
+// opens, finishes or unwinds one, in this sequence:
+//
+//  1. checkpoint the configuration and the book-keeping;
+//  2. journal the intent (a failure here fails the op before any physical
+//     work);
+//  3. run body;
+//  4. harvest: flush the batched stream and await its shift-out (the retry
+//     ladder fires inside the await when armed), then seal the commit;
+//  5. on an error from 3 or 4, roll back to the checkpoint and seal an
+//     abort;
+//  6. sweep the frames the retry ladder condemned into quarantine and
+//     evacuate their residents, success or failure;
+//  7. release the checkpoint.
+//
+// Two policies live here, not at call sites. An unjournaled Load without a
+// retry policy skips the harvest: its burst goes on shifting out after Load
+// returns and a stale transport error surfaces at the next operation's
+// drain — safe under write-through staging, and the overlap is the commit
+// pipeline's point. With a journal or a retry policy armed the op needs a
+// harvest point of its own (the commit barrier, or a fault boundary the
+// ladder can own), so it finishes like every other. And the maintenance ops
+// a sweep or a health transition runs (evacuations, health seals) never
+// sweep themselves, so quarantine cannot recurse.
+func (s *System) transact(op, design string, region fabric.Rect, detail string, body func() error) error {
+	cp, err := s.checkpointLocked()
+	if err != nil {
+		return err
+	}
+	defer s.releaseCheckpointLocked(cp)
+	if err := s.journalBeginLocked(cp, op, design, region, detail); err != nil {
+		return err
+	}
+	err = body()
+	if err == nil && (op != "load" || s.jrnl != nil || s.engine.Tool.Retry != nil) {
+		err = s.harvestLocked()
+	}
+	if err == nil {
+		err = s.journalCommitLocked()
+	}
+	if err != nil {
+		s.restoreLocked(cp, err)
+		s.journalAbortLocked()
+	}
+	if op != "evacuate" && op != "health" {
+		s.quarantineSweepLocked()
+	}
+	return err
+}
+
+// harvestLocked flushes the batched stream and waits for it to shift out, so
+// a transport failure surfaces while the operation can still roll back.
+func (s *System) harvestLocked() error {
+	if err := s.engine.Tool.Flush(); err != nil {
+		return err
+	}
+	return s.engine.Tool.AwaitStream()
+}
+
 // checkpoint captures everything a rollback needs, all of it copy-on-write:
 // a frame-granular snapshot of the pre-operation configuration (pre-images
 // are saved only for the frames the operation actually touches, reported by
@@ -770,7 +772,8 @@ type checkpoint struct {
 	mark area.Mark
 	// undo holds inverse host ops, applied in reverse on restore. saved
 	// tracks designs whose mutable state is already journalled, so repeated
-	// relocations of one design cost one clone per checkpoint.
+	// relocations of one design cost one clone per checkpoint (nil until the
+	// first design is touched).
 	undo     []func(*System)
 	saved    map[*place.Design]bool
 	released bool
@@ -790,11 +793,7 @@ func (s *System) checkpointLocked() (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &checkpoint{
-		snap:  snap,
-		mark:  s.area.Mark(),
-		saved: map[*place.Design]bool{},
-	}
+	cp := &checkpoint{snap: snap, mark: s.area.Mark()}
 	s.cps = append(s.cps, cp)
 	return cp, nil
 }
@@ -823,6 +822,9 @@ func (s *System) noteDesignLocked(d *place.Design) {
 	for _, cp := range s.cps {
 		if cp.saved[d] {
 			continue
+		}
+		if cp.saved == nil {
+			cp.saved = map[*place.Design]bool{}
 		}
 		cp.saved[d] = true
 		st := designState{
