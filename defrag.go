@@ -159,8 +159,11 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 // rollback-and-replay): relocation moves live state, and rewinding the
 // configuration of a finished move would reset the restored cells to their
 // power-up Init values while the running application holds live data.
-// Rollback is therefore scoped to the failing slide, where the original
-// cells still hold the state.
+// Rollback is therefore scoped to the failing slide. That limits the loss
+// but does not avoid it: the slide relocates CLB by CLB, and rolling it back
+// after some CLBs moved restores their configuration, not their live state
+// (the restored cells restart from power-up values); only CLBs the slide
+// had not reached keep their state. See the first open item of ROADMAP.md.
 func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 	rep := &DefragReport{FragBefore: s.area.Fragmentation(), Attempts: 1}
 	plan := rearrange.Compact(s.area)

@@ -149,29 +149,34 @@ type PIPEdge struct {
 // FanoutOf enumerates every PIP whose source is the given node: where a
 // signal on this node can go next. Pad nodes fan out into the border tile's
 // inward single wires; other nodes use the reverse sink templates.
-func (d *Device) FanoutOf(n NodeID) []PIPEdge {
+func (d *Device) FanoutOf(n NodeID) []PIPEdge { return d.AppendFanout(nil, n) }
+
+// AppendFanout appends FanoutOf(n) to dst and returns the extended slice, in
+// the same order. It allocates only when dst must grow, so a caller that
+// enumerates the whole routing graph through one reused buffer builds it
+// without per-node garbage.
+func (d *Device) AppendFanout(dst []PIPEdge, n NodeID) []PIPEdge {
 	if n >= d.PadBase() {
 		pad, ok := d.PadOfNode(n)
 		if !ok {
-			return nil
+			return dst
 		}
-		return d.padFanout(pad)
+		return d.appendPadFanout(dst, pad)
 	}
 	c, local, _ := d.SplitNode(n)
-	var out []PIPEdge
 	for _, fr := range fanoutTemplate[local] {
 		st := Coord{Row: c.Row + fr.DRow, Col: c.Col + fr.DCol}
 		if !d.InBounds(st) {
 			continue
 		}
-		out = append(out, PIPEdge{
+		dst = append(dst, PIPEdge{
 			SinkTile:  st,
 			SinkLocal: fr.SinkLocal,
 			Bit:       fr.Bit,
 			Sink:      d.NodeIDAt(st, fr.SinkLocal),
 		})
 	}
-	return out
+	return dst
 }
 
 // HasEnabledFanout reports whether any PIP whose source is the given node is
@@ -227,21 +232,20 @@ func (d *Device) HasEnabledFanout(n NodeID) bool {
 	return false
 }
 
-// padFanout lists the border-tile sinks a pad input can drive.
-func (d *Device) padFanout(pad PadRef) []PIPEdge {
+// appendPadFanout appends the border-tile sinks a pad input can drive.
+func (d *Device) appendPadFanout(dst []PIPEdge, pad PadRef) []PIPEdge {
 	tile, inward := d.padBorderTile(pad)
 	padNode := d.PadNodeID(pad)
-	var out []PIPEdge
 	for i := 0; i < SinglesPerDir; i++ {
 		if i%PadsPerEdgeTile != pad.K {
 			continue
 		}
 		sink := LocalSingle(inward, i)
 		if bit, ok := d.PIPBitFor(tile, sink, padNode); ok {
-			out = append(out, PIPEdge{SinkTile: tile, SinkLocal: sink, Bit: bit, Sink: d.NodeIDAt(tile, sink)})
+			dst = append(dst, PIPEdge{SinkTile: tile, SinkLocal: sink, Bit: bit, Sink: d.NodeIDAt(tile, sink)})
 		}
 	}
-	return out
+	return dst
 }
 
 // padBorderTile returns the array tile adjacent to a pad and the direction

@@ -498,8 +498,8 @@ func (e *Engine) destinationFree(to fabric.CellRef) error {
 
 // routePlan routes the parallel input paths, aux wiring and output paths.
 // The engine's router is reused across relocations — Reset is O(1) and the
-// fanout cache persists, so routing allocations stay proportional to the
-// paths found, not to the device.
+// routing graph is shared per device geometry, so routing allocations stay
+// proportional to the paths found, not to the device.
 func (e *Engine) routePlan(p *cellPlan) error {
 	dev := e.Dev
 	r := e.router

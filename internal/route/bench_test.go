@@ -61,9 +61,9 @@ func BenchmarkRouteAll(b *testing.B) {
 		{Name: "loc3", Source: dev.NodeIDAt(fabric.Coord{Row: 9, Col: 30}, fabric.LocalOutX(3)),
 			Sinks: []fabric.NodeID{dev.NodeIDAt(fabric.Coord{Row: 8, Col: 33}, fabric.LocalPinCE(2))}},
 	}
-	// Warm the lazy fanout cache (a one-time cost in real use: engines keep
-	// one router for their lifetime) so the measured loop shows the
-	// steady-state allocation behaviour.
+	// One unmeasured call first, so the measured loop shows the
+	// steady-state allocation behaviour of a reused router (engines keep
+	// one router for their lifetime).
 	if _, err := r.RouteAll(nets); err != nil {
 		b.Fatal(err)
 	}
@@ -74,5 +74,35 @@ func BenchmarkRouteAll(b *testing.B) {
 		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewRouter gates a router's per-node footprint on XCV200: the
+// routing graph is shared per geometry (built once, before the timer), so
+// B/op is the router's own stamped session, search and tree state.
+func BenchmarkNewRouter(b *testing.B) {
+	dev := fabric.NewDevice(fabric.XCV200)
+	NewRouter(dev)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		routerSink = NewRouter(dev)
+	}
+}
+
+// routerSink and graphSink keep the benchmarked constructors' results alive.
+var (
+	routerSink *Router
+	graphSink  *graph
+)
+
+// BenchmarkBuildGraph is the one-time cost of the shared XCV200 routing
+// graph: time, and allocation that should equal the graph's own size.
+func BenchmarkBuildGraph(b *testing.B) {
+	dev := fabric.NewDevice(fabric.XCV200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphSink = buildGraph(dev)
 	}
 }

@@ -8,6 +8,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 )
@@ -45,73 +46,78 @@ func (rn *RoutedNet) DelayTo(dev *fabric.Device, sink fabric.NodeID) float64 {
 
 // PathDelayNs sums the wire delays along a node path.
 func PathDelayNs(dev *fabric.Device, path []fabric.NodeID) float64 {
+	padBase, numPads := dev.PadBase(), dev.NumPads()
 	total := 0.0
 	for _, n := range path {
-		total += nodeDelay(dev, n)
+		total += nodeDelay(padBase, numPads, n)
 	}
 	return total
 }
 
-func nodeDelay(dev *fabric.Device, n fabric.NodeID) float64 {
-	if _, ok := dev.PadOfNode(n); ok {
+// localDelay is the intrinsic delay of each tile-local node id.
+var localDelay = func() (t [fabric.NodeSlots]float64) {
+	for l := range t {
+		kind, _, _ := fabric.DecodeLocal(l)
+		t[l] = fabric.WireDelayNs(kind)
+	}
+	return t
+}()
+
+// nodeDelay is the delay a node contributes to a path: its local kind's
+// delay for a tile node, the pad delay for a pad, 0 past the last pad.
+func nodeDelay(padBase fabric.NodeID, numPads int, n fabric.NodeID) float64 {
+	if n < padBase {
+		return localDelay[n%fabric.NodeSlots]
+	}
+	if int(n-padBase) < numPads {
 		return fabric.WireDelayNs(fabric.KindPad)
 	}
-	_, local, ok := dev.SplitNode(n)
-	if !ok {
-		return 0
-	}
-	kind, _, _ := fabric.DecodeLocal(local)
-	return fabric.WireDelayNs(kind)
+	return 0
 }
 
 // Router routes sets of nets over a device with negotiated congestion.
 //
 // A Router is built once and reused: all per-session state (blocked nodes,
-// congestion history, usage counts) and all per-search state (the A* open
-// set, cost and predecessor tables) live in epoch-stamped arrays indexed by
-// NodeID, so Reset and every search start are O(1) instead of reallocating
-// device-sized tables. The lazy fanout cache likewise persists across
-// searches — relocation engines route thousands of nets over the same
-// topology, and the cache warms exactly once.
+// congestion history, usage counts) and all per-search state (cost and
+// predecessor tables) live in epoch-stamped arrays indexed by NodeID, so
+// Reset and every search start are O(1) instead of reallocating
+// device-sized tables. The topology is not per-router state at all: every
+// router over one device geometry reads the same immutable routing graph.
 type Router struct {
 	dev *fabric.Device
 	// MaxIters bounds the negotiation rounds.
 	MaxIters int
-	// Greedy scales the A* heuristic. The admissible default (1) finds
-	// delay-optimal paths but, with the true lower bound sitting far below
-	// real per-tile cost, expands close to the whole bounding box per sink.
-	// Values above 1 trade optimality for focus — the warm-load and
+	// Greedy scales the A* heuristic. The default (1) finds near
+	// delay-optimal paths — not optimal ones: the heuristic is not a lower
+	// bound (see heuristicPerTile) — but, with the estimate sitting far
+	// below real per-tile cost, expands close to the whole bounding box per
+	// sink. Values above 1 trade path cost for focus — the warm-load and
 	// translation boundary patches use it: their few pad nets don't need
 	// delay-optimal trees, they need O(path) search. Zero means 1.
 	Greedy float64
 
-	adj [][]fabric.NodeID // lazy fanout cache, indexed by NodeID
+	g       *graph // shared with every router of this geometry; read-only
+	padBase fabric.NodeID
+	numPads int
 
 	// Session state, valid while its stamp equals epoch (Reset bumps the
-	// epoch, invalidating everything at once).
-	epoch     uint64
-	blockedAt []uint64
-	history   []float64 // PathFinder history cost
-	historyAt []uint64
-	present   []int32 // current usage count
-	presentAt []uint64
-	owner     []int32 // net index last routed over the node
-	ownerAt   []uint64
+	// epoch, invalidating everything at once). cong holds what only
+	// negotiated routing uses; it is allocated by the first RouteAll, so a
+	// router that only ever routes disjointly never pays for it.
+	epoch     uint32
+	blockedAt []uint32
+	cong      []congestion
 
-	// Per-search state (one routeOne call), stamped with searchEpoch.
-	searchEpoch uint64
-	prev        []fabric.NodeID
-	prevAt      []uint64
-	best        []float64
-	bestAt      []uint64
+	// Per-search state (one searchOne call), stamped with searchEpoch.
+	searchEpoch uint32
+	search      []searchState
 
-	// Per-net tree membership, stamped with treeEpoch. treePrev[n] is the
+	// Per-net tree membership, stamped with treeEpoch. tree[n].prev is the
 	// predecessor of n inside the current net's tree (valid only while
-	// treeAt[n] == treeEpoch); walking it from a sink reconstructs the full
+	// tree[n].at == treeEpoch); walking it from a sink reconstructs the full
 	// source-to-sink path without keeping per-node path copies.
-	treeEpoch uint64
-	treeAt    []uint64
-	treePrev  []fabric.NodeID
+	treeEpoch uint32
+	tree      []treeState
 
 	q pq // reusable open set
 
@@ -124,36 +130,61 @@ type Router struct {
 	pathBuf []fabric.NodeID
 }
 
+// congestion is one node's PathFinder state for the session: accumulated
+// history cost, present usage count and the net index last routed over it
+// (-1 when unowned). The fields read as zero (owner -1) unless at == epoch.
+type congestion struct {
+	history float64
+	present int32
+	owner   int32
+	at      uint32
+}
+
+// searchState is one node's A* state for the current search: the best cost
+// found and the predecessor it was reached from, valid while at ==
+// searchEpoch.
+type searchState struct {
+	best float64
+	prev fabric.NodeID
+	at   uint32
+}
+
+// treeState is one node's membership in the tree of the net being routed.
+type treeState struct {
+	prev fabric.NodeID
+	at   uint32
+}
+
 // NewRouter creates a router over a device.
 func NewRouter(dev *fabric.Device) *Router {
 	n := int(dev.PadBase()) + dev.NumPads()
 	return &Router{
 		dev:         dev,
 		MaxIters:    40,
-		adj:         make([][]fabric.NodeID, n),
+		g:           graphFor(dev),
+		padBase:     dev.PadBase(),
+		numPads:     dev.NumPads(),
 		epoch:       1,
-		blockedAt:   make([]uint64, n),
-		history:     make([]float64, n),
-		historyAt:   make([]uint64, n),
-		present:     make([]int32, n),
-		presentAt:   make([]uint64, n),
-		owner:       make([]int32, n),
-		ownerAt:     make([]uint64, n),
+		blockedAt:   make([]uint32, n),
 		searchEpoch: 1,
-		prev:        make([]fabric.NodeID, n),
-		prevAt:      make([]uint64, n),
-		best:        make([]float64, n),
-		bestAt:      make([]uint64, n),
+		search:      make([]searchState, n),
 		treeEpoch:   1,
-		treeAt:      make([]uint64, n),
-		treePrev:    make([]fabric.NodeID, n),
+		tree:        make([]treeState, n),
 	}
 }
 
 // Reset returns the router to its freshly-constructed state — no blocked
 // nodes, no congestion history — in O(1). Callers that previously built a
-// new router per operation reuse one this way, keeping the fanout cache.
-func (r *Router) Reset() { r.epoch++ }
+// new router per operation reuse one this way.
+func (r *Router) Reset() {
+	if r.epoch++; r.epoch == 0 {
+		// The stamp wrapped: clear so no entry from 2^32 sessions ago
+		// matches the restarted epoch.
+		clear(r.blockedAt)
+		clear(r.cong)
+		r.epoch = 1
+	}
+}
 
 // Block marks nodes as unusable (owned by other circuitry).
 func (r *Router) Block(nodes ...fabric.NodeID) {
@@ -172,66 +203,42 @@ func (r *Router) Unblock(nodes ...fabric.NodeID) {
 // Blocked reports whether a node is blocked.
 func (r *Router) Blocked(n fabric.NodeID) bool { return r.blockedAt[n] == r.epoch }
 
-func (r *Router) historyOf(n fabric.NodeID) float64 {
-	if r.historyAt[n] == r.epoch {
-		return r.history[n]
+// congOf returns n's congestion entry, starting it afresh if it is stale.
+// Only RouteAll writes congestion, after allocating r.cong.
+func (r *Router) congOf(n fabric.NodeID) *congestion {
+	c := &r.cong[n]
+	if c.at != r.epoch {
+		*c = congestion{owner: -1, at: r.epoch}
 	}
-	return 0
+	return c
 }
 
-func (r *Router) addHistory(n fabric.NodeID, d float64) {
-	if r.historyAt[n] != r.epoch {
-		r.historyAt[n] = r.epoch
-		r.history[n] = 0
+// congAt returns n's congestion state for the session: no history, no
+// usage and owner -1 unless RouteAll touched n since the last Reset.
+func (r *Router) congAt(n fabric.NodeID) congestion {
+	if r.cong != nil && r.cong[n].at == r.epoch {
+		return r.cong[n]
 	}
-	r.history[n] += d
+	return congestion{owner: -1}
 }
 
-func (r *Router) presentOf(n fabric.NodeID) int32 {
-	if r.presentAt[n] == r.epoch {
-		return r.present[n]
+// nextSearch starts a new search epoch, clearing the table if the stamp
+// wrapped.
+func (r *Router) nextSearch() uint32 {
+	if r.searchEpoch++; r.searchEpoch == 0 {
+		clear(r.search)
+		r.searchEpoch = 1
 	}
-	return 0
+	return r.searchEpoch
 }
 
-func (r *Router) addPresent(n fabric.NodeID, d int32) int32 {
-	if r.presentAt[n] != r.epoch {
-		r.presentAt[n] = r.epoch
-		r.present[n] = 0
+// nextTree starts a new net tree, clearing the table if the stamp wrapped.
+func (r *Router) nextTree() uint32 {
+	if r.treeEpoch++; r.treeEpoch == 0 {
+		clear(r.tree)
+		r.treeEpoch = 1
 	}
-	r.present[n] += d
-	return r.present[n]
-}
-
-// ownerOf returns the owning net index, or -1 when unowned.
-func (r *Router) ownerOf(n fabric.NodeID) int32 {
-	if r.ownerAt[n] == r.epoch {
-		return r.owner[n]
-	}
-	return -1
-}
-
-func (r *Router) setOwner(n fabric.NodeID, idx int32) {
-	r.ownerAt[n] = r.epoch
-	r.owner[n] = idx
-}
-
-func (r *Router) clearOwner(n fabric.NodeID) { r.ownerAt[n] = 0 }
-
-func (r *Router) fanout(n fabric.NodeID) []fabric.NodeID {
-	if cached := r.adj[n]; cached != nil {
-		return cached
-	}
-	edges := r.dev.FanoutOf(n)
-	out := make([]fabric.NodeID, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, e.Sink)
-	}
-	if out == nil {
-		out = []fabric.NodeID{}
-	}
-	r.adj[n] = out
-	return out
+	return r.treeEpoch
 }
 
 // item is a priority-queue entry.
@@ -293,28 +300,39 @@ func (p *pq) pop() item {
 	return top
 }
 
-// tileOf returns the coordinate used for the A* heuristic.
+// tileOf returns the coordinate used for the A* heuristic: a tile node's
+// own tile, a pad's border tile.
 func (r *Router) tileOf(n fabric.NodeID) fabric.Coord {
-	if pad, ok := r.dev.PadOfNode(n); ok {
-		switch pad.Side {
-		case fabric.North:
-			return fabric.Coord{Row: 0, Col: pad.Pos}
-		case fabric.South:
-			return fabric.Coord{Row: r.dev.Rows - 1, Col: pad.Pos}
-		case fabric.West:
-			return fabric.Coord{Row: pad.Pos, Col: 0}
-		default:
-			return fabric.Coord{Row: pad.Pos, Col: r.dev.Cols - 1}
-		}
+	if n < r.padBase {
+		t := int(n) / fabric.NodeSlots
+		return fabric.Coord{Row: t / r.dev.Cols, Col: t % r.dev.Cols}
 	}
-	c, _, _ := r.dev.SplitNode(n)
-	return c
+	pad, ok := r.dev.PadOfNode(n)
+	if !ok {
+		return fabric.Coord{}
+	}
+	switch pad.Side {
+	case fabric.North:
+		return fabric.Coord{Row: 0, Col: pad.Pos}
+	case fabric.South:
+		return fabric.Coord{Row: r.dev.Rows - 1, Col: pad.Pos}
+	case fabric.West:
+		return fabric.Coord{Row: pad.Pos, Col: 0}
+	default:
+		return fabric.Coord{Row: pad.Pos, Col: r.dev.Cols - 1}
+	}
 }
 
-// heuristicPerTile underestimates the cheapest per-tile cost: a hex wire
-// covers six tiles for 1.10 ns of wire delay plus the 0.01 per-hop bias, so
-// no expansion can cover a tile for less. Keeping it tight keeps A* focused;
-// keeping it a true lower bound keeps it admissible.
+// heuristicPerTile is the per-tile weight of the A* distance estimate: a
+// hex wire covers six tiles for 1.10 ns of wire delay plus the 0.01 per-hop
+// bias, the cheapest per-tile rate any wire achieves. It is NOT a lower
+// bound on the remaining cost, so the search is not admissible: a node's
+// distance is measured from its tile, which for a hex wire is the tile the
+// wire starts in, yet the node's cost already paid for the whole six-tile
+// span. A hex node ending next to the sink thus carries up to six tiles of
+// estimate it will never spend, and A* can settle a costlier path first: on
+// 400 random single-sink XCV200 nets it returned a costlier path than a
+// zero-heuristic (Dijkstra) search on 153, by at most 0.72 ns.
 const heuristicPerTile = (1.10 + 0.01) / 6
 
 // searchMargins are the staged bounding-box inflations of a sink search: the
@@ -325,7 +343,7 @@ const heuristicPerTile = (1.10 + 0.01) / 6
 // never lost — only found later.
 var searchMargins = [...]int{3, 9, -1}
 
-// routeOne expands from the current net tree (stamped into treeAt by the
+// routeOne expands from the current net tree (stamped into r.tree by the
 // caller) to one sink, inflating the search bounding box on failure.
 // presentFactor scales the congestion penalty. Returns the path from a tree
 // node to the sink, valid until the next search (it lives in reusable
@@ -346,19 +364,15 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	netIdx int32, presentFactor float64, margin int, within *fabric.Rect) []fabric.NodeID {
 
 	// Pad sinks are reached through their candidate pre-pad wires.
+	var prePadBuf [fabric.PadOutSources]fabric.NodeID
 	var prePad []fabric.NodeID
 	target := sink
 	sinkTile := r.tileOf(sink)
 	if pad, ok := r.dev.PadOfNode(sink); ok {
-		prePad = r.dev.PadOutSourceNodes(pad)
-	}
-	isPrePad := func(n fabric.NodeID) bool {
-		for _, p := range prePad {
-			if p == n {
-				return true
-			}
+		for b := range prePadBuf {
+			prePadBuf[b] = r.dev.PadOutSourceNode(pad, b)
 		}
-		return false
+		prePad = prePadBuf[:]
 	}
 
 	// Bounding box over the tree's tiles and the sink, inflated by margin.
@@ -368,18 +382,8 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	if bounded {
 		for _, n := range seeds {
 			t := r.tileOf(n)
-			if t.Row < minR {
-				minR = t.Row
-			}
-			if t.Row > maxR {
-				maxR = t.Row
-			}
-			if t.Col < minC {
-				minC = t.Col
-			}
-			if t.Col > maxC {
-				maxC = t.Col
-			}
+			minR, maxR = min(minR, t.Row), max(maxR, t.Row)
+			minC, maxC = min(minC, t.Col), max(maxC, t.Col)
 		}
 		minR -= margin
 		maxR += margin
@@ -391,81 +395,79 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	if r.Greedy > 1 {
 		hPerTile *= r.Greedy
 	}
-	r.searchEpoch++
-	se := r.searchEpoch
+	se := r.nextSearch()
 	r.q = r.q[:0]
 	for _, n := range seeds {
 		r.q.push(item{node: n, cost: 0, est: float64(r.tileOf(n).ManhattanDist(sinkTile)) * hPerTile})
-		r.best[n], r.bestAt[n] = 0, se
-		r.prev[n], r.prevAt[n] = fabric.InvalidNode, se
-	}
-
-	reconstruct := func(from fabric.NodeID) []fabric.NodeID {
-		path := r.pathBuf[:0]
-		for n := from; n != fabric.InvalidNode; {
-			path = append(path, n)
-			if r.treeAt[n] == r.treeEpoch {
-				break
-			}
-			if r.prevAt[n] != se {
-				break
-			}
-			n = r.prev[n]
-		}
-		reverse(path)
-		r.pathBuf = path
-		return path
-	}
-
-	expand := func(cur fabric.NodeID, curCost float64, nxt fabric.NodeID) {
-		// The target itself may be "in use" (an already-driven pin being
-		// connected in PARALLEL — the relocation procedure's core move);
-		// only intermediate nodes must be free.
-		if r.blockedAt[nxt] == r.epoch && nxt != target {
-			return
-		}
-		t := r.tileOf(nxt)
-		if bounded && (t.Row < minR || t.Row > maxR || t.Col < minC || t.Col > maxC) {
-			return
-		}
-		if within != nil && nxt != target && !within.Contains(t) {
-			return
-		}
-		// Nodes owned by another net cost extra (negotiation) instead of
-		// being forbidden outright.
-		penalty := 0.0
-		if o := r.ownerOf(nxt); o >= 0 && o != netIdx {
-			penalty = presentFactor * (1 + float64(r.presentOf(nxt)))
-		}
-		c := curCost + nodeDelay(r.dev, nxt) + r.historyOf(nxt) + penalty + 0.01
-		if r.bestAt[nxt] == se && r.best[nxt] <= c {
-			return
-		}
-		r.best[nxt], r.bestAt[nxt] = c, se
-		r.prev[nxt], r.prevAt[nxt] = cur, se
-		est := c + float64(t.ManhattanDist(sinkTile))*hPerTile
-		r.q.push(item{node: nxt, cost: c, est: est})
+		r.search[n] = searchState{best: 0, prev: fabric.InvalidNode, at: se}
 	}
 
 	for len(r.q) > 0 {
 		it := r.q.pop()
-		if it.cost > r.best[it.node] {
+		if it.cost > r.search[it.node].best {
 			continue
 		}
 		if it.node == target {
-			return reconstruct(it.node)
+			return r.reconstruct(it.node, se)
 		}
-		if isPrePad(it.node) {
+		if slices.Contains(prePad, it.node) {
 			// One more hop into the pad.
-			r.prev[target], r.prevAt[target] = it.node, se
-			r.best[target], r.bestAt[target] = it.cost, se
-			return reconstruct(target)
+			r.search[target] = searchState{best: it.cost, prev: it.node, at: se}
+			return r.reconstruct(target, se)
 		}
-		for _, nxt := range r.fanout(it.node) {
-			expand(it.node, it.cost, nxt)
+		for _, nxt := range r.g.fanout(it.node) {
+			// The target itself may be "in use" (an already-driven pin being
+			// connected in PARALLEL — the relocation procedure's core move);
+			// only intermediate nodes must be free.
+			if r.blockedAt[nxt] == r.epoch && nxt != target {
+				continue
+			}
+			t := r.tileOf(nxt)
+			if bounded && (t.Row < minR || t.Row > maxR || t.Col < minC || t.Col > maxC) {
+				continue
+			}
+			if within != nil && nxt != target && !within.Contains(t) {
+				continue
+			}
+			// Nodes owned by another net cost extra (negotiation) instead of
+			// being forbidden outright.
+			cg := r.congAt(nxt)
+			penalty := 0.0
+			if cg.owner >= 0 && cg.owner != netIdx {
+				penalty = presentFactor * (1 + float64(cg.present))
+			}
+			c := it.cost + nodeDelay(r.padBase, r.numPads, nxt) + cg.history + penalty + 0.01
+			st := &r.search[nxt]
+			if st.at == se && st.best <= c {
+				continue
+			}
+			*st = searchState{best: c, prev: it.node, at: se}
+			est := c + float64(t.ManhattanDist(sinkTile))*hPerTile
+			r.q.push(item{node: nxt, cost: c, est: est})
 		}
 	}
 	return nil
+}
+
+// reconstruct walks search predecessors back from a reached node to the
+// first node already in the net's tree, returning that segment in source
+// order. The path lives in r.pathBuf and is valid until the next search.
+func (r *Router) reconstruct(from fabric.NodeID, se uint32) []fabric.NodeID {
+	path := r.pathBuf[:0]
+	for n := from; n != fabric.InvalidNode; {
+		path = append(path, n)
+		if r.tree[n].at == r.treeEpoch {
+			break
+		}
+		st := &r.search[n]
+		if st.at != se {
+			break
+		}
+		n = st.prev
+	}
+	reverse(path)
+	r.pathBuf = path
+	return path
 }
 
 func reverse(p []fabric.NodeID) {
@@ -478,6 +480,9 @@ func reverse(p []fabric.NodeID) {
 // routed trees. It fails if congestion cannot be resolved in MaxIters
 // rounds.
 func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
+	if r.cong == nil {
+		r.cong = make([]congestion, len(r.blockedAt))
+	}
 	routed := make([]RoutedNet, len(nets))
 	presentFactor := 0.5
 
@@ -485,11 +490,10 @@ func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
 		// (Re)route every net.
 		for i := range nets {
 			// Rip up previous route of this net.
-			if routed[i].Tree != nil {
-				for _, n := range routed[i].Tree {
-					if r.addPresent(n, -1) == 0 {
-						r.clearOwner(n)
-					}
+			for _, n := range routed[i].Tree {
+				c := r.congOf(n)
+				if c.present--; c.present == 0 {
+					c.owner = -1
 				}
 			}
 			rn, err := r.routeNet(nets[i], int32(i), presentFactor)
@@ -498,17 +502,18 @@ func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
 			}
 			routed[i] = *rn
 			for _, n := range rn.Tree {
-				r.addPresent(n, 1)
-				r.setOwner(n, int32(i))
+				c := r.congOf(n)
+				c.present++
+				c.owner = int32(i)
 			}
 		}
 		// Check for overuse (a node carrying 2+ nets).
 		overused := 0
 		for i := range routed {
 			for _, n := range routed[i].Tree {
-				if r.presentOf(n) > 1 {
+				if r.congAt(n).present > 1 {
 					overused++
-					r.addHistory(n, 0.5)
+					r.congOf(n).history += 0.5
 				}
 			}
 		}
@@ -522,7 +527,7 @@ func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
 
 // routeNet routes all sinks of one net as a Steiner-ish tree (each sink
 // reuses the partial tree). The tree's structure lives in the epoch-stamped
-// treePrev array — no per-node path copies — and the returned paths share
+// r.tree array — no per-node path copies — and the returned paths share
 // one slab allocated for the caller, so routing cost is allocation-flat:
 // proportional to the paths handed back, not to the search volume.
 func (r *Router) routeNet(net Net, netIdx int32, presentFactor float64) (*RoutedNet, error) {
@@ -530,9 +535,8 @@ func (r *Router) routeNet(net Net, netIdx int32, presentFactor float64) (*Routed
 		return nil, fmt.Errorf("net has no sinks")
 	}
 	rn := &RoutedNet{Net: net, Paths: make(map[fabric.NodeID][]fabric.NodeID, len(net.Sinks))}
-	r.treeEpoch++
-	r.treeAt[net.Source] = r.treeEpoch
-	r.treePrev[net.Source] = fabric.InvalidNode
+	te := r.nextTree()
+	r.tree[net.Source] = treeState{prev: fabric.InvalidNode, at: te}
 	seeds := append(r.seedBuf[:0], net.Source)
 	rn.Tree = append(rn.Tree, net.Source)
 	var within *fabric.Rect
@@ -542,7 +546,7 @@ func (r *Router) routeNet(net Net, netIdx int32, presentFactor float64) (*Routed
 	var slab []fabric.NodeID // backs every returned path; owned by the caller
 	for _, sink := range net.Sinks {
 		w := within
-		if _, isPad := r.dev.PadOfNode(sink); isPad {
+		if sink >= r.padBase {
 			w = nil // boundary branch: pads live outside any interior bound
 		}
 		seg, err := r.routeOne(seeds, sink, netIdx, presentFactor, w)
@@ -558,11 +562,10 @@ func (r *Router) routeNet(net Net, netIdx int32, presentFactor float64) (*Routed
 		// physically dead branch (pad -> border wire -> ... -> pin).
 		for i := 1; i < len(seg); i++ {
 			n := seg[i]
-			if r.treeAt[n] != r.treeEpoch {
-				r.treeAt[n] = r.treeEpoch
-				r.treePrev[n] = seg[i-1]
+			if r.tree[n].at != te {
+				r.tree[n] = treeState{prev: seg[i-1], at: te}
 				rn.Tree = append(rn.Tree, n)
-				if n < r.dev.PadBase() {
+				if n < r.padBase {
 					seeds = append(seeds, n)
 				}
 			}
@@ -571,7 +574,7 @@ func (r *Router) routeNet(net Net, netIdx int32, presentFactor float64) (*Routed
 		// grow the slab; earlier sub-slices keep their (already written)
 		// backing array, so sharing is safe.
 		start := len(slab)
-		for n := sink; n != fabric.InvalidNode; n = r.treePrev[n] {
+		for n := sink; n != fabric.InvalidNode; n = r.tree[n].prev {
 			slab = append(slab, n)
 		}
 		reverse(slab[start:])

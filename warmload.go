@@ -20,8 +20,8 @@ import (
 
 // boundaryGreedy is the A* heuristic weight for boundary-patch routing (see
 // route.Router.Greedy). Warm loads and translations route a handful of pad
-// nets over hard-blocked occupancy; the admissible heuristic would expand
-// nearly the whole search box per sink hunting a delay-optimal path nobody
+// nets over hard-blocked occupancy; the default weight would expand nearly
+// the whole search box per sink hunting a near-delay-optimal path nobody
 // needs, turning the O(frame-I/O) splice back into an O(region) search. Both
 // paths use the same weight — the translated image plus its boundary patch
 // must stay frame-bit-identical to an unload followed by a warm load.
