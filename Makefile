@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline cover lint fuzz torture soak loc
+.PHONY: test race bench bench-baseline cover lint fuzz torture soak loc perfsmoke
 
 test:
 	go build ./... && go test ./...
@@ -26,6 +26,13 @@ BENCH_CMD = go test -run '^$$' -bench . -benchmem -benchtime=100ms -timeout 30m 
 
 bench:
 	$(BENCH_CMD)
+
+# Mirrors the CI perfbench smoke step (keep the two in sync): one short run
+# of every end-to-end workload. It fails when a workload's output checks
+# (lock-step golden models, the Map() check, journal recovery) report
+# correct: false.
+perfsmoke:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 1
 
 # Refresh the checked-in baseline after a PR that intentionally shifts
 # performance. Run on an otherwise idle machine.

@@ -143,6 +143,28 @@ func reportTraffic(b *testing.B, tr bitstream.Traffic, cycles uint64) {
 	}
 }
 
+// rolledBackCLBs drains an event subscription and counts the CLBs that
+// operations relocated and then rolled back: CLBRelocated events followed by
+// a Recovered event that carries an error, not by their DesignMoved.
+func rolledBackCLBs(b *testing.B, events <-chan Event) int {
+	rolled, open := 0, 0
+	for e := range events {
+		if e.Dropped > 0 {
+			b.Fatalf("%d events dropped", e.Dropped)
+		}
+		switch {
+		case e.Kind == CLBRelocated:
+			open++
+		case e.Kind == DesignMoved:
+			open = 0
+		case e.Kind == Recovered && e.Err != nil:
+			rolled += open
+			open = 0
+		}
+	}
+	return rolled
+}
+
 // --- E2 / Fig. 2: two-phase relocation of a free-running cell -------------
 
 func BenchmarkFig2TwoPhaseRelocation(b *testing.B) {
@@ -378,6 +400,7 @@ func BenchmarkFig7Defrag(b *testing.B) {
 	} {
 		b.Run(lane.name, func(b *testing.B) {
 			var last *System
+			rolledBack := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -391,17 +414,26 @@ func BenchmarkFig7Defrag(b *testing.B) {
 				if _, err := sys.Load(nl2, fabric.Rect{Row: 8, Col: 6, H: 4, W: 4}); err != nil {
 					b.Fatal(err)
 				}
+				events, cancel := sys.Subscribe(256)
 				rep, err := sys.Defragment(DefragPolicy{})
+				cancel()
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(rep.Moves) == 0 || rep.CellsRelocated == 0 {
 					b.Fatalf("no physical compaction happened: %+v", rep)
 				}
+				rolledBack += rolledBackCLBs(b, events)
 				last = sys
 			}
 			b.StopTimer()
 			reportTraffic(b, last.Traffic(), last.Port().Cycles())
+			// Slides that cannot route fail in their rehearsal, before any
+			// CLB streams: nothing the pass relocates is rolled back.
+			b.ReportMetric(float64(rolledBack)/float64(b.N), "rolled_back_clbs")
+			if rolledBack != 0 {
+				b.Fatalf("%d CLBs relocated and then rolled back in %d passes", rolledBack, b.N)
+			}
 		})
 	}
 }

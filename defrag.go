@@ -159,11 +159,13 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 // rollback-and-replay): relocation moves live state, and rewinding the
 // configuration of a finished move would reset the restored cells to their
 // power-up Init values while the running application holds live data.
-// Rollback is therefore scoped to the failing slide. That limits the loss
-// but does not avoid it: the slide relocates CLB by CLB, and rolling it back
-// after some CLBs moved restores their configuration, not their live state
-// (the restored cells restart from power-up values); only CLBs the slide
-// had not reached keep their state. See the first open item of ROADMAP.md.
+// Rollback is therefore scoped to the failing slide. A slide that cannot
+// route costs nothing: the engine rehearses its whole CLB sequence before
+// streaming any of it, so a routing failure returns with nothing staged and
+// the rollback has no frame to restore. A transport fault during the live
+// pass still rolls back CLBs that moved, restoring their configuration but
+// not their live state (the restored cells restart from power-up values).
+// See the first open item of ROADMAP.md.
 func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 	rep := &DefragReport{FragBefore: s.area.Fragmentation(), Attempts: 1}
 	plan := rearrange.Compact(s.area)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/itc99"
 	"repro/internal/netlist"
@@ -169,5 +170,101 @@ func TestDefragmentNoSpaceSentinel(t *testing.T) {
 	_, err := h.sys.Defragment(DefragPolicy{NeedH: 100, NeedW: 100})
 	if !errors.Is(err, ErrNoSpace) {
 		t.Errorf("want ErrNoSpace, got %v", err)
+	}
+}
+
+// TestFailedMoveKeepsLiveState is the lock-step gate of route-before-
+// streaming. gen1's Move into the NW corner cannot route its pad-entry
+// nets; the rehearsal finds that before a frame streams, so the failed Move
+// relocates no CLB, ships no configuration word and loses no live state:
+// the designs stay golden-exact while the clock runs on, and a later Move
+// still carries gen1's state.
+func TestFailedMoveKeepsLiveState(t *testing.T) {
+	h := newDefragHarness(t)
+	h.load(t, "gen1", fabric.Rect{Row: 2, Col: 6, H: 4, W: 4}, true)
+	h.load(t, "gen2", fabric.Rect{Row: 8, Col: 6, H: 4, W: 4}, true)
+	if err := h.step(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.sys.Move("gen1", fabric.Rect{Row: 2, Col: 0, H: 4, W: 4}); err != nil {
+		t.Fatalf("move gen1 -> R2C0: %v", err)
+	}
+	st, tr := h.sys.Stats(), h.sys.Traffic()
+	if st.CLBsRelocated != 16 {
+		t.Fatalf("scenario broken: %d CLBs relocated by the first move, want 16", st.CLBsRelocated)
+	}
+	if err := h.sys.Move("gen1", fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}); err == nil {
+		t.Fatal("scenario broken: the move into the NW corner routed")
+	}
+	if got := h.sys.Stats().CLBsRelocated; got != st.CLBsRelocated {
+		t.Errorf("the failed move relocated %d CLBs before failing", got-st.CLBsRelocated)
+	}
+	if got := h.sys.Traffic(); got != tr {
+		t.Errorf("the failed move shipped configuration: traffic %+v -> %+v", tr, got)
+	}
+	if err := h.step(5); err != nil {
+		t.Fatalf("live state lost by the failed move: %v", err)
+	}
+	if err := h.sys.Move("gen1", fabric.Rect{Row: 2, Col: 6, H: 4, W: 4}); err != nil {
+		t.Fatalf("move gen1 back -> R2C6: %v", err)
+	}
+	if err := h.step(5); err != nil {
+		t.Fatalf("designs disturbed by the later move: %v", err)
+	}
+	if err := h.group.CheckState(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactionDoomedSlidesShipNothing: of this pass's three slides only
+// gen1's first routes; gen2's and gen1's second fail on pad-entry nets. A
+// doomed slide fails in its rehearsal, so it streams no foreground word,
+// relocates no cell and needs no recovery stream: the pass ships exactly
+// what the one good slide ships as a plain Move.
+func TestCompactionDoomedSlidesShipNothing(t *testing.T) {
+	h := newDefragHarness(t)
+	h.load(t, "gen1", fabric.Rect{Row: 2, Col: 6, H: 4, W: 4}, true)
+	h.load(t, "gen2", fabric.Rect{Row: 8, Col: 6, H: 4, W: 4}, true)
+	if err := h.step(10); err != nil {
+		t.Fatal(err)
+	}
+	st0, c0 := h.sys.Stats(), h.sys.port.Counters()
+	rep, err := h.sys.Defragment(DefragPolicy{})
+	if err != nil {
+		t.Fatalf("compaction: %v", err)
+	}
+	to := fabric.Rect{Row: 2, Col: 0, H: 4, W: 4}
+	if len(rep.Moves) != 1 || rep.Moves[0].To != to || rep.Attempts != 3 {
+		t.Fatalf("scenario broken: want gen1's slide to %v and two failed slides, got %+v", to, rep)
+	}
+	st1, c1 := h.sys.Stats(), h.sys.port.Counters()
+	if got := st1.CLBsRelocated - st0.CLBsRelocated; got != 16 {
+		t.Errorf("the pass relocated %d CLBs, want the good slide's 16", got)
+	}
+	if got := st1.CellsRelocated - st0.CellsRelocated; got != rep.CellsRelocated {
+		t.Errorf("the pass relocated %d cells, its report %d", got, rep.CellsRelocated)
+	}
+	if rec := c1[bitstream.Recovery].Traffic.WordsShifted - c0[bitstream.Recovery].Traffic.WordsShifted; rec != 0 {
+		t.Errorf("the doomed slides needed %d recovery words", rec)
+	}
+	if err := h.step(10); err != nil {
+		t.Fatalf("designs disturbed by the pass: %v", err)
+	}
+	if err := h.group.CheckState(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The good slide alone, as a Move on a fresh twin of the set-up.
+	m := newDefragHarness(t)
+	m.load(t, "gen1", fabric.Rect{Row: 2, Col: 6, H: 4, W: 4}, true)
+	m.load(t, "gen2", fabric.Rect{Row: 8, Col: 6, H: 4, W: 4}, true)
+	if err := m.step(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.sys.Move("gen1", to); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.sys.Traffic(), m.sys.Traffic(); got != want {
+		t.Errorf("the pass shipped %+v, the good slide alone %+v", got, want)
 	}
 }

@@ -260,6 +260,11 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 			// Whatever the op did — succeed, get rejected, roll back,
 			// quarantine — the readers must see exactly its outcome.
 			checkSnapshot(t, sys, fmt.Sprintf("op %d (code %d)", op, code%8))
+			// A relocation sequence that went live left the rehearsal twin
+			// equal to the device.
+			if err := sys.Engine().VerifyTwin(); err != nil {
+				t.Fatalf("op %d (code %d): %v", op, code%8, err)
+			}
 		}
 		if seu {
 			// The scrubber's half of the fault model: a silent flip must be

@@ -214,6 +214,23 @@ func (d *Device) ReadFrame(major, minor int) ([]uint32, error) {
 	return out, nil
 }
 
+// ReadFrameInto copies one configuration frame into dst, which must hold
+// FrameWords words — ReadFrame without the allocation, for host-side copies
+// that keep a frame buffer of their own.
+func (d *Device) ReadFrameInto(addr FrameAddr, dst []uint32) error {
+	idx, err := d.frameIndex(addr.Major, addr.Minor)
+	if err != nil {
+		return err
+	}
+	if len(dst) != d.frameWords {
+		return fmt.Errorf("fabric: frame buffer length %d, want %d words", len(dst), d.frameWords)
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	copy(dst, d.frames[idx])
+	return nil
+}
+
 // WriteFrame overwrites one configuration frame. Writing a frame marks every
 // tile of the column stale for simulation purposes, even when the data is
 // identical: rewriting identical bits is glitch-free on the fabric (a

@@ -65,7 +65,8 @@ type Stats struct {
 	PortSeconds    float64
 	ClockCycles    int
 	// PlanSeconds is cumulative host wall-clock spent planning and routing
-	// relocations (the work the commit pipeline overlaps with shift-out).
+	// relocations: for a rehearsed sequence (RelocateCLBs), the whole
+	// rehearsal, which runs before anything of the sequence streams.
 	PlanSeconds float64
 	// OverlappedOps counts relocations whose planning ran while a previous
 	// operation's bitstream was still shifting out — the two-stage
@@ -148,6 +149,12 @@ type Engine struct {
 	view     *view
 	router   *route.Router // reused across relocations (Reset per plan)
 	lastTick float64
+
+	inTree map[fabric.NodeID]bool // freeTree's reused node set
+
+	// twin rehearses relocation sequences (see RelocateCLBs); built on the
+	// first one.
+	twin *twin
 }
 
 // NewEngine builds an engine over a device and configuration port.
@@ -176,6 +183,9 @@ func NewEngine(dev *fabric.Device, port *bitstream.Transport) (*Engine, error) {
 // point is only meaningful once the configuration stream that precedes it
 // has been delivered.
 func (e *Engine) tick(minCycles int) error {
+	if e.Tool.rehearsing() {
+		return nil // a rehearsal has no port time and no clock
+	}
 	if err := e.Tool.Flush(); err != nil {
 		return err
 	}
@@ -250,6 +260,10 @@ type cellPlan struct {
 	ceDriver   fabric.NodeID
 	ceOldChain []fabric.NodeID
 	bxOldChain []fabric.NodeID
+
+	// frames is the exact set of frames executing the plan writes, known
+	// once a rehearsal has executed it (nil otherwise).
+	frames []fabric.FrameAddr
 }
 
 // RelocateCell relocates one active logic cell, choosing the procedure
@@ -270,21 +284,27 @@ func (e *Engine) RelocateCell(from, to fabric.CellRef) (*CellMove, error) {
 	if err := e.Tool.Flush(); err != nil {
 		return nil, err
 	}
-	start := e.Tool.Port().Elapsed()
-	frames0 := e.Tool.FramesWritten()
-	e.Tool.MarkTouched()
-
 	overlapped := e.Tool.StreamInFlight() // planning overlaps that stream
 	planStart := time.Now()
 	plan, err := e.plan(from, to)
+	if err == nil {
+		err = e.checkRAMColumns(plan)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkRAMColumns(plan); err != nil {
-		return nil, err
-	}
 	e.Stats.PlanSeconds += time.Since(planStart).Seconds()
-	if e.Tool.StreamInFlight() && !e.Tool.StreamDisjoint(e.planFrames(plan)) {
+	return e.stream(plan, overlapped)
+}
+
+// stream executes a routed cell plan on the live device and accounts it.
+// overlapped reports whether a previous operation's stream was in flight
+// when the cell's relocation began.
+func (e *Engine) stream(plan *cellPlan, overlapped bool) (*CellMove, error) {
+	start := e.Tool.Port().Elapsed()
+	frames0 := e.Tool.FramesWritten()
+	e.Tool.MarkTouched()
+	if e.Tool.StreamInFlight() && !e.Tool.StreamDisjoint(e.writeSet(plan)) {
 		// The remaining shift covers frames this relocation will write:
 		// serial fallback, exactly as the real port would require.
 		e.Stats.SerialFallbacks++
@@ -304,8 +324,8 @@ func (e *Engine) RelocateCell(from, to fabric.CellRef) (*CellMove, error) {
 		e.Stats.AuxCircuits++
 	}
 	mv := &CellMove{
-		From:          from,
-		To:            to,
+		From:          plan.from,
+		To:            plan.to,
 		Aux:           plan.aux,
 		UsedAux:       plan.needsAux,
 		Frames:        e.Tool.FramesWritten() - frames0,
@@ -707,6 +727,15 @@ func (e *Engine) planFrames(p *cellPlan) []fabric.FrameAddr {
 	return out
 }
 
+// writeSet returns the frames executing a plan writes: exactly, when a
+// rehearsal recorded them, and planFrames' prediction otherwise.
+func (e *Engine) writeSet(p *cellPlan) []fabric.FrameAddr {
+	if p.frames != nil {
+		return p.frames
+	}
+	return e.planFrames(p)
+}
+
 func pathsOf(rn route.RoutedNet) [][]fabric.NodeID {
 	var out [][]fabric.NodeID
 	for _, s := range rn.Sinks {
@@ -726,7 +755,8 @@ func remapNode(n fabric.NodeID, p *cellPlan, dev *fabric.Device) (fabric.NodeID,
 }
 
 // checkRAMColumns rejects relocations whose frame writes would touch a
-// column containing a LUT/RAM (paper §2).
+// column containing a LUT/RAM (paper §2). The view's per-column RAM count
+// answers it without reading a cell.
 func (e *Engine) checkRAMColumns(p *cellPlan) error {
 	cols := map[int]bool{p.from.Col: true, p.to.Col: true}
 	if p.needsAux {
@@ -755,14 +785,15 @@ func (e *Engine) checkRAMColumns(p *cellPlan) error {
 		noteAll(ps)
 	}
 	for col := range cols {
+		if e.view.ramPerCol[col] == 0 {
+			continue
+		}
+		// Only the error path pays for naming the offending cell (the source
+		// is never RAM: plan rejects that first).
 		for row := 0; row < e.Dev.Rows; row++ {
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
 				ref := fabric.CellRef{Coord: fabric.Coord{Row: row, Col: col}, Cell: cell}
-				if ref == p.from {
-					continue
-				}
-				cc := e.Dev.ReadCell(ref)
-				if cc.RAM && cc.InUse() {
+				if e.view.ramCells[ref] {
 					return fmt.Errorf("%w: RAM at %v, column %d", ErrRAMInColumn, ref, col)
 				}
 			}

@@ -126,6 +126,10 @@ type FrameTool struct {
 	// hangs here — undo records must be durable before the device-visible
 	// write they cover.
 	barrier DeliveryBarrier
+
+	// scratch is a rehearsal tool's frame buffer (nil on a live tool).
+	scratch []uint32
+	nodeBuf []fabric.NodeID // SetPIP's reused sink notification
 }
 
 // DeliveryBarrier observes the points at which frames become part of the
@@ -135,8 +139,14 @@ type FrameTool struct {
 // updates at enqueue time, when the burst's content is fixed. The updates'
 // data slices are owned by the shadow; observers must not retain or mutate
 // them.
+//
+// PreStage is PreDeliver's batch form for a rehearsed relocation sequence:
+// it is called once, before the sequence stages its first frame, with every
+// frame the sequence will deliver, so their undo records can be made durable
+// together. The frames still reach PreDeliver at their flushes.
 type DeliveryBarrier interface {
 	PreDeliver(addrs []fabric.FrameAddr) error
+	PreStage(addrs []fabric.FrameAddr) error
 	Delivered(updates []bitstream.FrameUpdate)
 }
 
@@ -187,6 +197,76 @@ func NewFrameTool(dev *fabric.Device, port *bitstream.Transport) (*FrameTool, er
 	}, nil
 }
 
+// newRehearsalTool builds a tool with no transport over a host-side twin of
+// the device, for rehearsing a relocation sequence before it streams. Its
+// writes go straight into the twin's frames — no shadow, no batching, no
+// stream, no barrier — while still reporting to the view sink and to the
+// touched-frame recording, so a rehearsal learns every frame its live pass
+// will write.
+func newRehearsalTool(dev *fabric.Device) *FrameTool {
+	return &FrameTool{
+		dev: dev, genSeen: dev.Generation(),
+		pendingSet: make(map[fabric.FrameAddr]bool),
+		touchSet:   make(map[fabric.FrameAddr]bool),
+		scratch:    make([]uint32, dev.FrameWords()),
+	}
+}
+
+// rehearsing reports whether the tool is a rehearsal twin's (no transport).
+func (ft *FrameTool) rehearsing() bool { return ft.port == nil }
+
+// applyTwin writes a set of edits into the twin's frames, one read-modify-
+// write per distinct frame in first-touched order, through the tool's
+// reused frame buffer.
+func (ft *FrameTool) applyTwin(edits []Edit) error {
+	for i, e := range edits {
+		seen := false
+		for _, prev := range edits[:i] {
+			if prev.Addr == e.Addr {
+				seen = true
+				break
+			}
+		}
+		if seen {
+			continue
+		}
+		if err := ft.dev.ReadFrameInto(e.Addr, ft.scratch); err != nil {
+			return err
+		}
+		for _, f := range edits[i:] {
+			if f.Addr != e.Addr {
+				continue
+			}
+			if f.On {
+				ft.scratch[f.Bit/32] |= 1 << (f.Bit % 32)
+			} else {
+				ft.scratch[f.Bit/32] &^= 1 << (f.Bit % 32)
+			}
+		}
+		if err := ft.dev.WriteFrame(e.Addr.Major, e.Addr.Minor, ft.scratch); err != nil {
+			return err
+		}
+		ft.touch(e.Addr)
+	}
+	return nil
+}
+
+// preStage hands a rehearsed sequence's frame set to the barrier before the
+// sequence stages anything. Quarantined frames never ship, so they are left
+// out, as Flush leaves them out of PreDeliver.
+func (ft *FrameTool) preStage(addrs []fabric.FrameAddr) error {
+	if ft.barrier == nil {
+		return nil
+	}
+	kept := make([]fabric.FrameAddr, 0, len(addrs))
+	for _, addr := range addrs {
+		if !ft.quarantined[addr] {
+			kept = append(kept, addr)
+		}
+	}
+	return ft.barrier.PreStage(kept)
+}
+
 // Sync refreshes the recovery shadow from the device if the configuration
 // changed through a path other than this tool (checkpointing after a new
 // design is loaded by the development flow).
@@ -197,45 +277,14 @@ func (ft *FrameTool) Sync() error { return ft.sync() }
 // the paper's tool accepts "a complete configuration file" as input; this
 // is the equivalent import. Only the frames that actually changed are
 // re-read, and their pre-images flow into any open snapshots, so a
-// checkpoint covers designer-path writes too.
+// checkpoint covers designer-path writes too. The view sink re-derives the
+// columns the dirty frames can influence.
 func (ft *FrameTool) sync() error {
-	g := ft.dev.Generation()
-	if g == ft.genSeen {
-		return nil
-	}
-	addrs := ft.dev.FramesChangedSince(ft.genSeen)
-	var updates []bitstream.FrameUpdate
-	if ft.barrier != nil && len(addrs) > 0 {
-		updates = make([]bitstream.FrameUpdate, 0, len(addrs))
-	}
-	for _, addr := range addrs {
-		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
-		if err != nil {
-			return err
-		}
-		ft.shadow.NoteOwned(addr, data)
-		// Designer-path content is already on the fabric: it is the delta
-		// baseline of the next port delivery of these frames.
-		ft.lastSent[addr] = data
-		ft.confirmed[addr] = data
-		if updates != nil {
-			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-		}
-	}
-	ft.genSeen = g
-	if ft.barrier != nil && len(addrs) > 0 {
-		// Designer-path writes are already on the device; the barrier still
-		// sees them as a delivery so pre-images journal before anything
-		// else builds on the reconciled state.
-		if err := ft.barrier.PreDeliver(addrs); err != nil {
-			return err
-		}
-		ft.barrier.Delivered(updates)
-	}
-	if ft.sink != nil && len(addrs) > 0 {
+	addrs, err := ft.reconcile()
+	if err == nil && ft.sink != nil && len(addrs) > 0 {
 		ft.sink.Synced(addrs)
 	}
-	return nil
+	return err
 }
 
 // SyncDeclared refreshes the recovery shadow like Sync, but the caller
@@ -247,35 +296,11 @@ func (ft *FrameTool) sync() error {
 // occupancy stale. The facade's warm-load path uses it — the template splice
 // knows its precise footprint.
 func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID, pads []fabric.PadRef) error {
-	g := ft.dev.Generation()
-	if g == ft.genSeen {
+	if ft.dev.Generation() == ft.genSeen {
 		return nil
 	}
-	addrs := ft.dev.FramesChangedSince(ft.genSeen)
-	var updates []bitstream.FrameUpdate
-	if ft.barrier != nil && len(addrs) > 0 {
-		updates = make([]bitstream.FrameUpdate, 0, len(addrs))
-	}
-	for _, addr := range addrs {
-		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
-		if err != nil {
-			return err
-		}
-		ft.shadow.NoteOwned(addr, data)
-		// Designer-path content is already on the fabric: it is the delta
-		// baseline of the next port delivery of these frames.
-		ft.lastSent[addr] = data
-		ft.confirmed[addr] = data
-		if updates != nil {
-			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-		}
-	}
-	ft.genSeen = g
-	if ft.barrier != nil && len(addrs) > 0 {
-		if err := ft.barrier.PreDeliver(addrs); err != nil {
-			return err
-		}
-		ft.barrier.Delivered(updates)
+	if _, err := ft.reconcile(); err != nil {
+		return err
 	}
 	if ft.sink != nil {
 		for _, ref := range cells {
@@ -288,6 +313,43 @@ func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID,
 		ft.sink.Advanced()
 	}
 	return nil
+}
+
+// reconcile re-reads into the shadow every frame changed outside the tool
+// since the last reconciliation and returns their addresses. Designer-path
+// content is already on the fabric, so it is also the delta baseline of the
+// frames' next port delivery; the barrier still sees it as a delivery, so
+// pre-images journal before anything else builds on the reconciled state.
+func (ft *FrameTool) reconcile() ([]fabric.FrameAddr, error) {
+	g := ft.dev.Generation()
+	if g == ft.genSeen {
+		return nil, nil
+	}
+	addrs := ft.dev.FramesChangedSince(ft.genSeen)
+	var updates []bitstream.FrameUpdate
+	if ft.barrier != nil && len(addrs) > 0 {
+		updates = make([]bitstream.FrameUpdate, 0, len(addrs))
+	}
+	for _, addr := range addrs {
+		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
+		if err != nil {
+			return nil, err
+		}
+		ft.shadow.NoteOwned(addr, data)
+		ft.lastSent[addr] = data
+		ft.confirmed[addr] = data
+		if updates != nil {
+			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
+		}
+	}
+	ft.genSeen = g
+	if ft.barrier != nil && len(addrs) > 0 {
+		if err := ft.barrier.PreDeliver(addrs); err != nil {
+			return nil, err
+		}
+		ft.barrier.Delivered(updates)
+	}
+	return addrs, nil
 }
 
 // QuarantineFrame excludes a frame from port delivery. The caller (the
@@ -338,6 +400,9 @@ type Edit struct {
 func (ft *FrameTool) Apply(edits []Edit) error {
 	if len(edits) == 0 {
 		return nil
+	}
+	if ft.rehearsing() {
+		return ft.applyTwin(edits)
 	}
 	if err := ft.sync(); err != nil {
 		return err
@@ -438,10 +503,7 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 	}
 	ft.genSeen = ft.dev.Generation()
 	ft.frames++
-	if !ft.touchSet[addr] {
-		ft.touchSet[addr] = true
-		ft.touched = append(ft.touched, addr)
-	}
+	ft.touch(addr)
 	if !ft.pendingSet[addr] {
 		ft.pendingSet[addr] = true
 		ft.pending = append(ft.pending, addr)
@@ -687,6 +749,14 @@ func (ft *FrameTool) AbortPending() {
 	ft.pendingSet = make(map[fabric.FrameAddr]bool)
 }
 
+// touch records a staged frame in the touched-frame recording.
+func (ft *FrameTool) touch(addr fabric.FrameAddr) {
+	if !ft.touchSet[addr] {
+		ft.touchSet[addr] = true
+		ft.touched = append(ft.touched, addr)
+	}
+}
+
 // MarkTouched resets the touched-frame recording and returns. The engine
 // brackets each relocation with MarkTouched/TouchedFrames so every CellMove
 // reports exactly the frame set it wrote.
@@ -813,7 +883,8 @@ func (ft *FrameTool) SetPIP(src, sink fabric.NodeID, on bool) error {
 	}
 	err := ft.Apply([]Edit{ft.pipEdit(c, local, bit, on)})
 	if ft.sink != nil {
-		ft.sink.NodesTouched(src, sink) // on error too — see WriteCell
+		ft.nodeBuf = append(ft.nodeBuf[:0], src, sink)
+		ft.sink.NodesTouched(ft.nodeBuf...) // on error too — see WriteCell
 	}
 	return err
 }

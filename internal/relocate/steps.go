@@ -1,7 +1,6 @@
 package relocate
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -73,8 +72,6 @@ func (e *Engine) executePlain(p *cellPlan) error {
 // executeGated is the full Fig. 4 flow with the auxiliary relocation
 // circuit of Fig. 3, used for gated-clock FFs and asynchronous latches.
 func (e *Engine) executeGated(p *cellPlan) error {
-	dev := e.Dev
-
 	// Step 1: "Connect signals to the auxiliary relocation circuit; place
 	// CLB input signals in parallel."
 	// 1a. Configure the aux CLB: OR gate, transfer mux, two inactive
@@ -178,7 +175,6 @@ func (e *Engine) executeGated(p *cellPlan) error {
 			return err
 		}
 	}
-	_ = dev
 
 	// Step 7: "Place CLB outputs in parallel."
 	if e.PrePhase2 != nil {
@@ -272,7 +268,6 @@ func sortedNodeKeysSinks(m map[fabric.NodeID][]terminalSink) []fabric.NodeID {
 // the terminal-sink PIPs (each sink keeps its replica-side driver), then the
 // old distribution tree.
 func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
-	dev := e.Dev
 	// Phase-1 self-feedback parallels hang off the original's outputs; the
 	// replica pins now also have replica-side drivers, so the whole
 	// original-side path goes away (sink hop first).
@@ -284,27 +279,42 @@ func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
 		}
 	}
 	for _, orig := range sortedNodeKeysSinks(p.outSinks) {
-		sinks := p.outSinks[orig]
-		for _, s := range sinks {
-			if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
-				return err
+		if err := e.freeTree(p.outSinks[orig], p.outTree[orig]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// freeTree disconnects a net's terminal sinks (each sink hop first), then
+// disables every enabled PIP between the net's tree nodes.
+func (e *Engine) freeTree(sinks []terminalSink, tree []fabric.NodeID) error {
+	for _, s := range sinks {
+		if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
+			return err
+		}
+	}
+	if e.inTree == nil {
+		e.inTree = map[fabric.NodeID]bool{}
+	}
+	for _, n := range tree {
+		e.inTree[n] = true
+	}
+	// Emptied entry by entry: clearing the whole map would cost its
+	// largest size on every call.
+	defer func() {
+		for _, n := range tree {
+			delete(e.inTree, n)
+		}
+	}()
+	for _, n := range tree {
+		for _, edge := range e.view.fanout(n) {
+			if !e.inTree[edge.Sink] {
+				continue
 			}
-		}
-		// Free the old tree: disable every enabled PIP between tree nodes.
-		tree := p.outTree[orig]
-		inTree := map[fabric.NodeID]bool{}
-		for _, n := range tree {
-			inTree[n] = true
-		}
-		for _, n := range tree {
-			for _, edge := range dev.FanoutOf(n) {
-				if !inTree[edge.Sink] {
-					continue
-				}
-				if dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
-					if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
-						return err
-					}
+			if e.Dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
+				if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
+					return err
 				}
 			}
 		}
@@ -353,26 +363,6 @@ func (e *Engine) freeChain(chain []fabric.NodeID) error {
 	return nil
 }
 
-// RelocateCLB relocates every active cell of a CLB to the same cell indices
-// of the destination CLB, one cell at a time ("CLBs relocation is performed
-// individually").
-func (e *Engine) RelocateCLB(from, to fabric.Coord) ([]*CellMove, error) {
-	var moves []*CellMove
-	for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-		ref := fabric.CellRef{Coord: from, Cell: cell}
-		if !e.Dev.ReadCell(ref).InUse() {
-			continue
-		}
-		mv, err := e.RelocateCell(ref, fabric.CellRef{Coord: to, Cell: cell})
-		if err != nil {
-			return moves, fmt.Errorf("relocate: CLB %v cell %d: %w", from, cell, err)
-		}
-		moves = append(moves, mv)
-	}
-	e.Stats.CLBsRelocated++
-	return moves, nil
-}
-
 // ReleaseTree disables every enabled PIP in the forward cone of a source
 // node (terminal sink hops first), returning the routing to the free pool.
 // The tool uses it to decommission a whole function's nets. The view tracks
@@ -380,29 +370,7 @@ func (e *Engine) RelocateCLB(from, to fabric.Coord) ([]*CellMove, error) {
 // O(device).
 func (e *Engine) ReleaseTree(src fabric.NodeID) error {
 	e.view.refresh()
-	sinks, tree := e.view.forwardCone(src)
-	for _, s := range sinks {
-		if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
-			return err
-		}
-	}
-	inTree := map[fabric.NodeID]bool{}
-	for _, n := range tree {
-		inTree[n] = true
-	}
-	for _, n := range tree {
-		for _, edge := range e.Dev.FanoutOf(n) {
-			if !inTree[edge.Sink] {
-				continue
-			}
-			if e.Dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
-				if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return e.freeTree(e.view.forwardCone(src))
 }
 
 // ConeNodes returns the forward cone of a source as a flat node set: every

@@ -16,6 +16,8 @@ package relocate
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/fabric"
 )
@@ -44,12 +46,55 @@ type view struct {
 	// instead of a scan over the whole free set.
 	freePerRow []int
 	freeCount  int
+	// ramCells holds the in-use LUT/RAM cells and ramPerCol counts them per
+	// array column, maintained by the same deltas as inUse, so the engine's
+	// RAM-column pre-check is one lookup per column instead of a scan of
+	// every cell in it.
+	ramCells  map[fabric.CellRef]bool
+	ramPerCol []int
+
+	fanBuf []fabric.PIPEdge // see fanout
 }
 
 func newView(dev *fabric.Device) *view {
 	v := &view{dev: dev}
 	v.rescan()
 	return v
+}
+
+// copyFrom makes v an exact copy of src's picture, reusing v's maps: the
+// rehearsal twin takes the live view this way at the start of every
+// rehearsed sequence instead of re-deriving it from the twin's frames.
+func (v *view) copyFrom(src *view) {
+	if v.used == nil {
+		v.used = make(map[fabric.NodeID]bool, len(src.used))
+		v.inUse = make(map[fabric.CellRef]bool, len(src.inUse))
+		v.freeCLB = make(map[fabric.Coord]bool, len(src.freeCLB))
+		v.ramCells = make(map[fabric.CellRef]bool, len(src.ramCells))
+	}
+	copyInto(v.used, src.used)
+	copyInto(v.inUse, src.inUse)
+	copyInto(v.freeCLB, src.freeCLB)
+	copyInto(v.ramCells, src.ramCells)
+	v.freePerRow = append(v.freePerRow[:0], src.freePerRow...)
+	v.ramPerCol = append(v.ramPerCol[:0], src.ramPerCol...)
+	v.freeCount = src.freeCount
+	v.gen = v.dev.Generation()
+}
+
+// equal reports whether two views hold the same occupancy picture.
+func (v *view) equal(w *view) bool {
+	return maps.Equal(v.used, w.used) && maps.Equal(v.inUse, w.inUse) &&
+		maps.Equal(v.freeCLB, w.freeCLB) && maps.Equal(v.ramCells, w.ramCells) &&
+		slices.Equal(v.freePerRow, w.freePerRow) && slices.Equal(v.ramPerCol, w.ramPerCol) &&
+		v.freeCount == w.freeCount
+}
+
+func copyInto[K comparable](dst, src map[K]bool) {
+	clear(dst)
+	for k := range src {
+		dst[k] = true
+	}
 }
 
 // rescan rebuilds the occupancy picture from the configuration memory.
@@ -60,6 +105,8 @@ func (v *view) rescan() {
 	v.freeCLB = map[fabric.Coord]bool{}
 	v.freePerRow = make([]int, v.dev.Rows)
 	v.freeCount = 0
+	v.ramCells = map[fabric.CellRef]bool{}
+	v.ramPerCol = make([]int, v.dev.Cols)
 	dev := v.dev
 	for row := 0; row < dev.Rows; row++ {
 		for col := 0; col < dev.Cols; col++ {
@@ -67,8 +114,7 @@ func (v *view) rescan() {
 			clbFree := true
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
 				ref := fabric.CellRef{Coord: c, Cell: cell}
-				if dev.ReadCell(ref).InUse() {
-					v.inUse[ref] = true
+				if v.noteCell(ref) {
 					clbFree = false
 					v.used[dev.NodeIDAt(c, fabric.LocalOutX(cell))] = true
 					v.used[dev.NodeIDAt(c, fabric.LocalOutXQ(cell))] = true
@@ -202,13 +248,31 @@ func (v *view) markNode(n fabric.NodeID) {
 	}
 }
 
-// markCell re-derives one cell's occupancy and its output nodes.
-func (v *view) markCell(ref fabric.CellRef) {
-	if v.dev.ReadCell(ref).InUse() {
+// noteCell re-derives one cell's occupancy and RAM status, reporting
+// whether it is in use.
+func (v *view) noteCell(ref fabric.CellRef) bool {
+	cc := v.dev.ReadCell(ref)
+	used := cc.InUse()
+	if used {
 		v.inUse[ref] = true
 	} else {
 		delete(v.inUse, ref)
 	}
+	if ram := used && cc.RAM; ram != v.ramCells[ref] {
+		if ram {
+			v.ramCells[ref] = true
+			v.ramPerCol[ref.Col]++
+		} else {
+			delete(v.ramCells, ref)
+			v.ramPerCol[ref.Col]--
+		}
+	}
+	return used
+}
+
+// markCell re-derives one cell's occupancy and its output nodes.
+func (v *view) markCell(ref fabric.CellRef) {
+	v.noteCell(ref)
 	v.markNode(v.dev.NodeIDAt(ref.Coord, fabric.LocalOutX(ref.Cell)))
 	v.markNode(v.dev.NodeIDAt(ref.Coord, fabric.LocalOutXQ(ref.Cell)))
 }
@@ -367,12 +431,7 @@ func (v *view) refreshFrames(addrs []fabric.FrameAddr) {
 		for row := 0; row < dev.Rows; row++ {
 			c := fabric.Coord{Row: row, Col: col}
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-				ref := fabric.CellRef{Coord: c, Cell: cell}
-				if dev.ReadCell(ref).InUse() {
-					v.inUse[ref] = true
-				} else {
-					delete(v.inUse, ref)
-				}
+				v.noteCell(fabric.CellRef{Coord: c, Cell: cell})
 			}
 			v.markTileFree(c)
 		}
@@ -475,6 +534,13 @@ func (v *view) forwardCone(src fabric.NodeID) (sinks []terminalSink, tree []fabr
 	return sinks, tree
 }
 
+// fanout returns FanoutOf(n) in the view's reused buffer, valid until the
+// next call: for loops over a node's edges that do not recurse.
+func (v *view) fanout(n fabric.NodeID) []fabric.PIPEdge {
+	v.fanBuf = v.dev.AppendFanout(v.fanBuf[:0], n)
+	return v.fanBuf
+}
+
 // padsFedBy finds output pads whose enabled OutMask selects the given wire
 // (at most one: the candidate pad at the wire's exit position).
 func (v *view) padsFedBy(n fabric.NodeID) []fabric.PadRef {
@@ -512,7 +578,7 @@ func (v *view) exclusiveSuffix(chain []fabric.NodeID) []fabric.NodeID {
 	for i := len(chain) - 2; i >= 1; i-- {
 		n := chain[i]
 		shared := false
-		for _, e := range dev.FanoutOf(n) {
+		for _, e := range v.fanout(n) {
 			if dev.PIPMask(e.SinkTile, e.SinkLocal)>>e.Bit&1 != 1 {
 				continue
 			}

@@ -3,6 +3,7 @@ package relocate
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -55,11 +56,17 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 		if !maps.Equal(eng.view.freeCLB, fresh.freeCLB) {
 			t.Fatalf("%s: freeCLB sets diverged (view %d, rescan %d)", ctx, len(eng.view.freeCLB), len(fresh.freeCLB))
 		}
+		if !maps.Equal(eng.view.ramCells, fresh.ramCells) || !slices.Equal(eng.view.ramPerCol, fresh.ramPerCol) {
+			t.Fatalf("%s: RAM counts diverged (view %v, rescan %v)", ctx, eng.view.ramPerCol, fresh.ramPerCol)
+		}
 	}
 
 	load := func(i int) {
 		nl := itc99.Generate(itc99.GenConfig{
 			Name: "rnd", Inputs: 2, Outputs: 1, FFs: 2, LUTs: 3,
+			// Every third load carries a LUT/RAM, so the per-column RAM
+			// counts have something to track.
+			RAMs: boolInt(i%3 == 0),
 			Seed: uint64(i + 1), Style: itc99.FreeRunning,
 		})
 		row, col := rng.Intn(dev.Rows-3), rng.Intn(dev.Cols-3)
@@ -103,6 +110,25 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 			dst, err := eng.view.findFreeCLB(near, from.Coord)
 			if err != nil {
 				return "relocate-nofree"
+			}
+			if k == 4 {
+				// The whole CLB as a rehearsed sequence: the engine adopts
+				// the twin's view instead of applying live deltas.
+				moves, err := eng.RelocateCLB(from.Coord, dst)
+				if err != nil || len(moves) == 0 {
+					return "relocate-clb-nop"
+				}
+				// Current without a refresh, so check's rescan comparison
+				// sees the adopted view itself.
+				if eng.view.gen != dev.Generation() {
+					t.Fatalf("op %d: relocate-clb left the view behind the device", i)
+				}
+				for i := range cells {
+					if cells[i].Coord == from.Coord {
+						cells[i].Coord = dst
+					}
+				}
+				return "relocate-clb"
 			}
 			to := fabric.CellRef{Coord: dst, Cell: from.Cell}
 			if _, err := eng.RelocateCell(from, to); err == nil {
@@ -192,5 +218,65 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("diverged after op %d (%s)", i, name)
 		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRelocateCLBsAdoptsTwinView moves a whole placed design as one
+// rehearsed sequence. The live pass applies no view deltas; the engine
+// adopts the twin's view instead, which must be current without a refresh
+// and equal to a rescan of the device, with the twin's frames equal to the
+// device's.
+func TestRelocateCLBsAdoptsTwinView(t *testing.T) {
+	dev := fabric.NewDevice(fabric.XCV50)
+	eng, err := NewEngine(dev, bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.MaxCyclesPerWait = 0
+	nl, err := itc99.Get("b02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := place.AutoRegion(dev, nl, 2, 2, 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := place.Place(dev, nl, place.Options{Region: region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var steps []CLBStep
+	for _, c := range d.Region.Coords() {
+		steps = append(steps, CLBStep{From: c, To: fabric.Coord{Row: c.Row + 8, Col: c.Col + 8}})
+	}
+	moves, err := eng.RelocateCLBs(steps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, m := range moves {
+		cells += len(m)
+	}
+	if cells == 0 {
+		t.Fatal("scenario broken: nothing relocated")
+	}
+	if eng.view.gen != dev.Generation() {
+		t.Fatal("the adopted view is behind the device")
+	}
+	if !eng.view.equal(newView(dev)) {
+		t.Fatal("the adopted view differs from a rescan of the device")
+	}
+	if err := eng.VerifyTwin(); err != nil {
+		t.Fatal(err)
 	}
 }

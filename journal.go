@@ -42,7 +42,16 @@ type sysBarrier struct{ s *System }
 // delivery and forces the records to stable storage — the write-ahead
 // contract: by the time the port can have changed the device, the journal
 // can undo it.
-func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
+func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error { return b.journalUndo(addrs, false) }
+
+// PreStage journals the pre-images of every frame a rehearsed relocation
+// sequence will deliver, as one batch behind one sync, before the sequence
+// stages anything; its flushes then find every frame covered. A frame the
+// operation has not changed yet still holds its checkpoint-epoch content in
+// the shadow, so that is its pre-image.
+func (b sysBarrier) PreStage(addrs []fabric.FrameAddr) error { return b.journalUndo(addrs, true) }
+
+func (b sysBarrier) journalUndo(addrs []fabric.FrameAddr, ahead bool) error {
 	s := b.s
 	js := s.jrnl
 	if js == nil || !js.active || s.restoring {
@@ -54,6 +63,9 @@ func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
 			continue
 		}
 		pre, ok := js.cp.snap.Preimage(addr)
+		if !ok && ahead {
+			pre, ok = s.engine.Tool.Shadow().Frame(addr)
+		}
 		if !ok {
 			// The frame did not change since the checkpoint epoch (an
 			// identical rewrite); nothing to undo.

@@ -471,8 +471,9 @@ func (s *System) rebuildRouterLocked() {
 // Move relocates a whole design to a new region of identical shape, CLB by
 // CLB, while it runs. Overlapping source/target regions are handled by
 // ordering the moves along the displacement vector (the paper's staged
-// relocation). The target must be free in the area book-keeping before any
-// frame is streamed; a mid-stream failure rolls everything back.
+// relocation). The target must be free in the area book-keeping, and every
+// CLB must route on the engine's rehearsal twin, before any frame is
+// streamed; a transport failure mid-stream rolls everything back.
 func (s *System) Move(name string, to fabric.Rect) error {
 	s.mu.Lock()
 	defer s.unlock()
@@ -517,7 +518,7 @@ func (s *System) checkMoveLocked(name string, to fabric.Rect) error {
 // validated the move and owns rollback. With the template cache enabled and
 // a translation-safe image available, the move is served by address
 // translation (frame image re-targeted plus a boundary patch); otherwise it
-// falls through to the paper's cell-by-cell replication below.
+// falls through to the paper's cell-by-cell replication (replicateLocked).
 func (s *System) moveRaw(name string, to fabric.Rect) error {
 	if s.tmpl != nil {
 		handled, err := s.tryTranslateMoveLocked(name, to)
@@ -528,13 +529,61 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 			return nil
 		}
 	}
+	return s.replicateLocked(name, []fabric.Rect{to})
+}
+
+// replicateLocked moves a design through a hop sequence by the paper's
+// cell-by-cell replication, as one rehearsed engine sequence: every CLB of
+// every hop routes on the engine's twin before the first frame streams, so a
+// hop that cannot route fails the move with nothing streamed. The caller has
+// validated the hops and owns rollback.
+func (s *System) replicateLocked(name string, hops []fabric.Rect) error {
+	if len(hops) == 0 {
+		return nil
+	}
 	d := s.designs[name]
 	// First-touch clone of the tables the relocation rewrites (Region,
 	// CellOf, SourceOf) into every armed checkpoint.
 	s.noteDesignLocked(d)
-	from := d.Region
+	var steps []relocate.CLBStep
+	ends := make([]int, len(hops)) // ends[h]: index after hop h's last step
+	for h, cur := 0, d.Region; h < len(hops); h++ {
+		steps = appendCLBSteps(steps, cur, hops[h])
+		ends[h] = len(steps)
+		cur = hops[h]
+	}
+	hop := 0
+	_, err := s.engine.RelocateCLBs(steps, func(i int, moved bool) error {
+		if st := steps[i]; moved {
+			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
+				d.Rebind(fabric.CellRef{Coord: st.From, Cell: cell}, fabric.CellRef{Coord: st.To, Cell: cell})
+			}
+			s.publish(Event{Kind: CLBRelocated, Design: name, CLBFrom: st.From, CLBTo: st.To})
+		}
+		if i+1 < ends[hop] {
+			return nil
+		}
+		from := d.Region
+		d.Region = hops[hop]
+		if err := s.area.Move(s.regions[name], d.Region); err != nil {
+			return err
+		}
+		s.publish(Event{Kind: DesignMoved, Design: name, From: from, Region: d.Region})
+		hop++
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("rlm: moving %s: %w", name, err)
+	}
+	s.rebuildRouterLocked()
+	return nil
+}
+
+// appendCLBSteps appends the CLB steps of one whole-region move, ordered so
+// that targets are vacated before they are needed (the paper's staged
+// relocation of overlapping regions).
+func appendCLBSteps(steps []relocate.CLBStep, from, to fabric.Rect) []relocate.CLBStep {
 	coords := from.Coords()
-	// Order so that targets are vacated before they are needed.
 	sort.Slice(coords, func(i, j int) bool {
 		a, b := coords[i], coords[j]
 		if to.Row != from.Row {
@@ -555,32 +604,9 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 	})
 	dr, dc := to.Row-from.Row, to.Col-from.Col
 	for _, c := range coords {
-		occupied := false
-		for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-			if s.dev.ReadCell(fabric.CellRef{Coord: c, Cell: cell}).InUse() {
-				occupied = true
-				break
-			}
-		}
-		if !occupied {
-			continue
-		}
-		dst := fabric.Coord{Row: c.Row + dr, Col: c.Col + dc}
-		if _, err := s.engine.RelocateCLB(c, dst); err != nil {
-			return fmt.Errorf("rlm: moving %s CLB %v: %w", name, c, err)
-		}
-		for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-			d.Rebind(fabric.CellRef{Coord: c, Cell: cell}, fabric.CellRef{Coord: dst, Cell: cell})
-		}
-		s.publish(Event{Kind: CLBRelocated, Design: name, CLBFrom: c, CLBTo: dst})
+		steps = append(steps, relocate.CLBStep{From: c, To: fabric.Coord{Row: c.Row + dr, Col: c.Col + dc}})
 	}
-	d.Region = to
-	if err := s.area.Move(s.regions[name], to); err != nil {
-		return err
-	}
-	s.rebuildRouterLocked()
-	s.publish(Event{Kind: DesignMoved, Design: name, From: from, Region: to})
-	return nil
+	return steps
 }
 
 // MoveStaged relocates a design like Move, but bounds the displacement of
@@ -617,8 +643,13 @@ func (s *System) checkMoveStagedLocked(name string, to fabric.Rect, maxStep int)
 }
 
 // moveHopsLocked relocates a design through a validated hop sequence; the
-// caller owns rollback.
+// caller owns rollback. Without a template cache every hop is replication,
+// so the whole sequence rehearses as one; with one, each hop first tries
+// address translation and a replicated hop rehearses on its own.
 func (s *System) moveHopsLocked(name string, hops []fabric.Rect) error {
+	if s.tmpl == nil {
+		return s.replicateLocked(name, hops)
+	}
 	for _, next := range hops {
 		if err := s.moveRaw(name, next); err != nil {
 			return fmt.Errorf("rlm: staged move via %v: %w", next, err)
