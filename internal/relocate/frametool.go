@@ -2,6 +2,7 @@ package relocate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,7 +130,6 @@ type FrameTool struct {
 
 	// scratch is a rehearsal tool's frame buffer (nil on a live tool).
 	scratch []uint32
-	nodeBuf []fabric.NodeID // SetPIP's reused sink notification
 }
 
 // DeliveryBarrier observes the points at which frames become part of the
@@ -215,40 +215,53 @@ func newRehearsalTool(dev *fabric.Device) *FrameTool {
 // rehearsing reports whether the tool is a rehearsal twin's (no transport).
 func (ft *FrameTool) rehearsing() bool { return ft.port == nil }
 
-// applyTwin writes a set of edits into the twin's frames, one read-modify-
-// write per distinct frame in first-touched order, through the tool's
-// reused frame buffer.
-func (ft *FrameTool) applyTwin(edits []Edit) error {
-	for i, e := range edits {
-		seen := false
-		for _, prev := range edits[:i] {
-			if prev.Addr == e.Addr {
-				seen = true
-				break
-			}
+// editFrames groups edits by frame, in first-touched order. For each frame
+// it takes a writable copy of the frame's content from base, sets or clears
+// that frame's edited bits in it and hands the result to write. Apply and a
+// rehearsal differ only in those two: the shadow and staging for the live
+// tool, the twin device's frames for a rehearsal.
+func editFrames(edits []Edit, base func(fabric.FrameAddr) ([]uint32, error), write func(fabric.FrameAddr, []uint32) error) error {
+	var buf [8]fabric.FrameAddr
+	order := buf[:0]
+	for _, e := range edits {
+		if !slices.Contains(order, e.Addr) {
+			order = append(order, e.Addr)
 		}
-		if seen {
-			continue
-		}
-		if err := ft.dev.ReadFrameInto(e.Addr, ft.scratch); err != nil {
+	}
+	for _, addr := range order {
+		data, err := base(addr)
+		if err != nil {
 			return err
 		}
-		for _, f := range edits[i:] {
-			if f.Addr != e.Addr {
+		for _, e := range edits {
+			if e.Addr != addr {
 				continue
 			}
-			if f.On {
-				ft.scratch[f.Bit/32] |= 1 << (f.Bit % 32)
+			if e.On {
+				data[e.Bit/32] |= 1 << (e.Bit % 32)
 			} else {
-				ft.scratch[f.Bit/32] &^= 1 << (f.Bit % 32)
+				data[e.Bit/32] &^= 1 << (e.Bit % 32)
 			}
 		}
-		if err := ft.dev.WriteFrame(e.Addr.Major, e.Addr.Minor, ft.scratch); err != nil {
+		if err := write(addr, data); err != nil {
 			return err
 		}
-		ft.touch(e.Addr)
 	}
 	return nil
+}
+
+// applyTwin writes a set of edits into the twin's frames, one read-modify-
+// write per distinct frame through the tool's reused frame buffer.
+func (ft *FrameTool) applyTwin(edits []Edit) error {
+	return editFrames(edits, func(addr fabric.FrameAddr) ([]uint32, error) {
+		return ft.scratch, ft.dev.ReadFrameInto(addr, ft.scratch)
+	}, func(addr fabric.FrameAddr, data []uint32) error {
+		if err := ft.dev.WriteFrame(addr.Major, addr.Minor, data); err != nil {
+			return err
+		}
+		ft.touch(addr)
+		return nil
+	})
 }
 
 // preStage hands a rehearsed sequence's frame set to the barrier before the
@@ -407,33 +420,19 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 	if err := ft.sync(); err != nil {
 		return err
 	}
-	order := []fabric.FrameAddr{}
-	frames := map[fabric.FrameAddr][]uint32{}
-	for _, e := range edits {
-		data, seen := frames[e.Addr]
-		if !seen {
-			base, ok := ft.shadow.Frame(e.Addr)
-			if !ok {
-				return fmt.Errorf("relocate: no shadow for frame %v", e.Addr)
-			}
-			data = make([]uint32, len(base))
-			copy(data, base)
-			frames[e.Addr] = data
-			order = append(order, e.Addr)
-		}
-		if e.On {
-			data[e.Bit/32] |= 1 << (e.Bit % 32)
-		} else {
-			data[e.Bit/32] &^= 1 << (e.Bit % 32)
-		}
-	}
 	perFrame := ft.VerifyHook != nil || ft.ReadbackVerify
-	for _, addr := range order {
-		if err := ft.stage(addr, frames[addr]); err != nil {
+	err := editFrames(edits, func(addr fabric.FrameAddr) ([]uint32, error) {
+		base, ok := ft.shadow.Frame(addr)
+		if !ok {
+			return nil, fmt.Errorf("relocate: no shadow for frame %v", addr)
+		}
+		return slices.Clone(base), nil
+	}, func(addr fabric.FrameAddr, data []uint32) error {
+		if err := ft.stage(addr, data); err != nil {
 			return err
 		}
 		if !perFrame {
-			continue
+			return nil
 		}
 		// The cautious modes are strictly serial: deliver the frame and
 		// drain the stream before probing, as the paper's tool did.
@@ -460,6 +459,10 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 				return fmt.Errorf("relocate: after writing %v: %w", addr, err)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if ft.batchDepth == 0 {
 		return ft.Flush()
@@ -883,8 +886,7 @@ func (ft *FrameTool) SetPIP(src, sink fabric.NodeID, on bool) error {
 	}
 	err := ft.Apply([]Edit{ft.pipEdit(c, local, bit, on)})
 	if ft.sink != nil {
-		ft.nodeBuf = append(ft.nodeBuf[:0], src, sink)
-		ft.sink.NodesTouched(ft.nodeBuf...) // on error too — see WriteCell
+		ft.sink.NodesTouched(src, sink) // on error too — see WriteCell
 	}
 	return err
 }

@@ -121,7 +121,10 @@ func (e *Engine) RelocateCLBs(steps []CLBStep, after func(i int, moved bool) err
 	e.view.gen = e.Dev.Generation()
 	e.Tool.SetViewSink(e.view)
 	t.eng.Tool.SetViewSink(t.eng.view)
+	// The twin now holds the live frames: the next sync copies only what
+	// changes after this point.
 	t.settled, t.settledGen = true, e.view.gen
+	t.liveGen, t.ownGen = e.view.gen, t.eng.Dev.Generation()
 	return moves, nil
 }
 

@@ -1,9 +1,12 @@
 package relocate
 
 import (
+	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -17,7 +20,16 @@ import (
 // tree releases, cell/pad clears, raw PIP pokes and snapshot rollbacks, the
 // incrementally maintained view must be bit-identical to a fresh rescan of
 // the configuration memory.
-func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
+func TestViewMatchesRescanUnderRandomOps(t *testing.T) { viewMatchesRescanUnderRandomOps(t, 0) }
+
+// TestViewRAMCountsMatchRescanUnderRandomOps runs the same random operations
+// with a LUT/RAM in every load, so the per-column RAM counts move under
+// loads, clears and rollbacks. With RAM in most columns almost every
+// relocation stops at the RAM-column check, which is why the test above
+// loads none.
+func TestViewRAMCountsMatchRescanUnderRandomOps(t *testing.T) { viewMatchesRescanUnderRandomOps(t, 1) }
+
+func viewMatchesRescanUnderRandomOps(t *testing.T, rams int) {
 	dev := fabric.NewDevice(fabric.TestDevice)
 	ctrl := bitstream.NewController(dev)
 	port := bitstream.NewSelectMAP(ctrl, 50e6, 8)
@@ -33,10 +45,12 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 	var sources []fabric.NodeID // net sources of loaded designs
 	var pads []fabric.PadRef    // pads bound by loaded designs
 
+	sawRAM := false
 	check := func(ctx string) {
 		t.Helper()
 		eng.view.refresh()
 		fresh := newView(dev)
+		sawRAM = sawRAM || len(fresh.ramCells) > 0
 		if !maps.Equal(eng.view.used, fresh.used) {
 			for n := range fresh.used {
 				if !eng.view.used[n] {
@@ -64,9 +78,7 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 	load := func(i int) {
 		nl := itc99.Generate(itc99.GenConfig{
 			Name: "rnd", Inputs: 2, Outputs: 1, FFs: 2, LUTs: 3,
-			// Every third load carries a LUT/RAM, so the per-column RAM
-			// counts have something to track.
-			RAMs: boolInt(i%3 == 0),
+			RAMs: rams,
 			Seed: uint64(i + 1), Style: itc99.FreeRunning,
 		})
 		row, col := rng.Intn(dev.Rows-3), rng.Intn(dev.Cols-3)
@@ -110,25 +122,6 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 			dst, err := eng.view.findFreeCLB(near, from.Coord)
 			if err != nil {
 				return "relocate-nofree"
-			}
-			if k == 4 {
-				// The whole CLB as a rehearsed sequence: the engine adopts
-				// the twin's view instead of applying live deltas.
-				moves, err := eng.RelocateCLB(from.Coord, dst)
-				if err != nil || len(moves) == 0 {
-					return "relocate-clb-nop"
-				}
-				// Current without a refresh, so check's rescan comparison
-				// sees the adopted view itself.
-				if eng.view.gen != dev.Generation() {
-					t.Fatalf("op %d: relocate-clb left the view behind the device", i)
-				}
-				for i := range cells {
-					if cells[i].Coord == from.Coord {
-						cells[i].Coord = dst
-					}
-				}
-				return "relocate-clb"
 			}
 			to := fabric.CellRef{Coord: dst, Cell: from.Cell}
 			if _, err := eng.RelocateCell(from, to); err == nil {
@@ -219,13 +212,9 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 			t.Fatalf("diverged after op %d (%s)", i, name)
 		}
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
+	if rams > 0 && !sawRAM {
+		t.Fatal("scenario broken: no RAM cell was ever loaded")
 	}
-	return 0
 }
 
 // TestRelocateCLBsAdoptsTwinView moves a whole placed design as one
@@ -279,4 +268,122 @@ func TestRelocateCLBsAdoptsTwinView(t *testing.T) {
 	if err := eng.VerifyTwin(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRelocateCLBsTwinFollowsLiveChanges checks the twin's re-synchronisation
+// across sequences. Between two successful sequences the live device changes
+// outside any sequence (a designer-path load and a single-cell relocation),
+// and a doomed sequence dirties the twin in its rehearsal before failing on
+// its last step. The doomed sequence must leave the device untouched, and
+// the next sequence must still rehearse against the live configuration.
+func TestRelocateCLBsTwinFollowsLiveChanges(t *testing.T) {
+	dev := fabric.NewDevice(fabric.XCV50)
+	port := bitstream.NewSelectMAP(bitstream.NewController(dev), 50e6, 8)
+	eng, err := NewEngine(dev, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.MaxCyclesPerWait = 0
+	reserved := map[fabric.PadRef]bool{}
+	load := func(name string, row, col int) *place.Design {
+		t.Helper()
+		nl, err := itc99.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region, err := place.AutoRegion(dev, nl, row, col, 0.35)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := place.Place(dev, nl, place.Options{Region: region, ReservePads: reserved})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range d.PadOf {
+			reserved[p] = true
+		}
+		if err := eng.Tool.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	shift := func(region fabric.Rect, dr, dc int) []CLBStep {
+		var steps []CLBStep
+		for _, c := range region.Coords() {
+			steps = append(steps, CLBStep{From: c, To: fabric.Coord{Row: c.Row + dr, Col: c.Col + dc}})
+		}
+		return steps
+	}
+	settled := func(ctx string) {
+		t.Helper()
+		if eng.view.gen != dev.Generation() || !eng.view.equal(newView(dev)) {
+			t.Fatalf("%s: the adopted view differs from a rescan of the device", ctx)
+		}
+		if err := eng.VerifyTwin(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+	}
+
+	d1 := load("b02", 2, 2)
+	if _, err := eng.RelocateCLBs(shift(d1.Region, 8, 8), nil); err != nil {
+		t.Fatal(err)
+	}
+	settled("first sequence")
+	moved := d1.Region
+	moved.Row, moved.Col = moved.Row+8, moved.Col+8
+
+	// Live changes the twin has not seen: a load and a single-cell move.
+	d2 := load("b01", 2, 14)
+	occ := d2.OccupiedCells()
+	from := occ[0]
+	dst, err := eng.view.findFreeCLB(fabric.Coord{Row: 6, Col: 14}, from.Coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RelocateCell(from, fabric.CellRef{Coord: dst, Cell: from.Cell}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.AwaitStream(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A doomed sequence: every step but the last is sound, and the last one
+	// lands on a cell of d2 that its source also uses.
+	steps := shift(moved, -8, -8)
+	busy := map[fabric.Coord]map[int]bool{}
+	for _, ref := range d2.OccupiedCells()[1:] {
+		if busy[ref.Coord] == nil {
+			busy[ref.Coord] = map[int]bool{}
+		}
+		busy[ref.Coord][ref.Cell] = true
+	}
+	last := &steps[len(steps)-1]
+	for c, used := range busy {
+		for cell := range used {
+			if eng.view.inUse[fabric.CellRef{Coord: last.From, Cell: cell}] {
+				last.To = c
+			}
+		}
+	}
+	if busy[last.To] == nil {
+		t.Fatal("scenario broken: no d2 CLB shares a cell index with the last step")
+	}
+	gen, elapsed, st := dev.Generation(), port.Elapsed(), eng.Stats
+	_, err = eng.RelocateCLBs(steps, nil)
+	if !errors.Is(err, ErrDestinationBusy) || !strings.Contains(err.Error(), fmt.Sprint(last.From)) {
+		t.Fatalf("doomed sequence: err = %v, want ErrDestinationBusy on the last step", err)
+	}
+	if dev.Generation() != gen || port.Elapsed() != elapsed || eng.Stats.CLBsRelocated != st.CLBsRelocated {
+		t.Fatal("the doomed sequence changed the device, used the port or counted a CLB")
+	}
+
+	// Back where d1 came from, past d2's cells.
+	moves, err := eng.RelocateCLBs(shift(moved, -8, -8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moves) == 0 || eng.Stats.CLBsRelocated == st.CLBsRelocated {
+		t.Fatal("scenario broken: the last sequence relocated nothing")
+	}
+	settled("after the doomed sequence")
 }
